@@ -2,14 +2,18 @@
 
 K_t and K_r each have two permanently tested construction paths:
 
-* direct — stack per-point Jacobian rows of the trial function / residual
-  and take their Gram (combine, then Gram);
+* direct — combine the network outputs pointwise into the trial function /
+  residual first and take the Gram of that combination's parameter
+  gradients (combine, then Gram);
 * composed — build the component kernels of each derivative order first and
   combine them afterwards (Gram, then combine): diag(B) K_n diag(B) for
   K_t, the nine-term coefficient formula for K_r.
 
-Jacobian rows are produced in parameter chunks, so nothing of size
-N x P has to be materialized for the Gram products.
+Every Gram comes from ``net.factored_grams``. Per layer, the weight gradient
+of a pointwise output combination at one point is a sum of d + 2 outer
+products of reverse-pass adjoints with forward carriers, so its Gram is a
+sum of Hadamard products of N x N factor Grams: no N x P Jacobian is ever
+formed, and the cost grows with the layer width, not with its square.
 """
 
 from dataclasses import dataclass
@@ -80,23 +84,16 @@ def trial_eval(trial, points, with_jacobian=False, state=None):
 def assemble_kn(params, points):
     """K_n = J0 J0^T, the Gram of the network-value parameter Jacobian rows.
 
-    Accumulated layer by layer through the rank-one structure of per-point
-    weight gradients: the layer-l contribution is
-    (Zbar_l Zbar_l^T) o (A_{l-1} A_{l-1}^T + 1), which never materializes
-    an N x P array and so scales to widths in the thousands.
+    Per-point weight gradients of the value are rank one, so the factored
+    Gram reduces to one term per layer, (Zbar_l Zbar_l^T) o
+    (A_{l-1} A_{l-1}^T + 1): no N x P array is formed, which scales to
+    widths in the thousands.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if x.shape[0] < 1:
         raise ValueError("points must be nonempty")
     st = net.forward(params, x, order=0)
-    zbars = net.value_backward_layers(params, st)
-    n = x.shape[0]
-    k = np.zeros((n, n))
-    for l in range(1, params.n_layers + 1):
-        zb = zbars[l]
-        a_prev = st.a[l - 1]
-        k += (zb @ zb.T) * (a_prev @ a_prev.T + 1.0)
-    return _symmetrize(k)
+    return SymMatrix(net.factored_grams(params, st, np.ones((1, x.shape[0])))[0])
 
 
 def assemble_kt(params, pair, points, path="composed"):
@@ -108,12 +105,7 @@ def assemble_kt(params, pair, points, path="composed"):
         return _symmetrize(b[:, None] * kn * b[None, :])
     if path == "direct":
         st = net.forward(params, x, order=0)
-        n = x.shape[0]
-        k = np.zeros((n, n))
-        for _, _, _, _, blk in net.jacobian_blocks(params, st):
-            rows = b[:, None] * blk[0]
-            k += rows @ rows.T
-        return _symmetrize(k)
+        return SymMatrix(net.factored_grams(params, st, b[None, :])[0])
     raise ValueError(f"unknown path '{path}'")
 
 
@@ -129,27 +121,32 @@ def component_kernels(params, points):
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     st = net.forward(params, x, order=2)
     n, d = x.shape
-    comp = {
-        "nn": np.zeros((n, n)),
-        "ngrad": np.zeros((d, n, n)),
-        "gradgrad": np.zeros((d, d, n, n)),
-        "nlap": np.zeros((n, n)),
-        "gradlap": np.zeros((d, n, n)),
-        "laplap": np.zeros((n, n)),
+    # Output order: value 0, grad_m 1 + m, lap 1 + d. Only the gradgrad
+    # pairs m <= k are built; gradgrad[k, m] is the transpose of [m, k].
+    val, lap, grads = 0, 1 + d, range(1, 1 + d)
+    upper = [(m, k) for m in range(d) for k in range(m, d)]
+    pairs = (
+        [(val, val)]
+        + [(val, m) for m in grads]
+        + [(1 + m, 1 + k) for m, k in upper]
+        + [(val, lap)]
+        + [(m, lap) for m in grads]
+        + [(lap, lap)]
+    )
+    g = net.factored_grams(params, st, *net.output_seeds(n, d, 2), pairs=pairs)
+    gg, rest = 1 + d, 1 + d + len(upper)  # first gradgrad pair, first pair after them
+    gradgrad = np.empty((d, d, n, n))
+    for p, (m, k) in enumerate(upper):
+        gradgrad[m, k] = g[gg + p]
+        gradgrad[k, m] = g[gg + p].T
+    return {
+        "nn": g[0],
+        "ngrad": g[1:gg],
+        "gradgrad": gradgrad,
+        "nlap": g[rest],
+        "gradlap": g[rest + 1 : rest + 1 + d],
+        "laplap": g[-1],
     }
-    for _, _, _, _, blk in net.jacobian_blocks(params, st):
-        jv = blk[0]
-        jl = blk[1 + d]
-        comp["nn"] += jv @ jv.T
-        comp["nlap"] += jv @ jl.T
-        comp["laplap"] += jl @ jl.T
-        for m in range(d):
-            jm = blk[1 + m]
-            comp["ngrad"][m] += jv @ jm.T
-            comp["gradlap"][m] += jm @ jl.T
-            for kx in range(d):
-                comp["gradgrad"][m, kx] += jm @ blk[1 + kx].T
-    return comp
 
 
 def compose_kr(comp, coeff):
@@ -178,20 +175,13 @@ def assemble_kr(params, problem, pair, points, path="direct"):
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     coeff = pde.coefficients(problem.op, pair, x)
-    n, d = x.shape
     if path == "composed":
         comp = component_kernels(params, x)
         return _symmetrize(compose_kr(comp, coeff))
     if path == "direct":
         st = net.forward(params, x, order=2)
-        k = np.zeros((n, n))
-        for _, _, _, _, blk in net.jacobian_blocks(params, st):
-            rows = coeff.alpha[:, None] * blk[0]
-            for m in range(d):
-                rows += coeff.beta[:, m, None] * blk[1 + m]
-            rows += coeff.gamma[:, None] * blk[1 + d]
-            k += rows @ rows.T
-        return _symmetrize(k)
+        k = net.factored_grams(params, st, coeff.alpha[None], coeff.beta[None], coeff.gamma[None])
+        return SymMatrix(k[0])
     raise ValueError(f"unknown path '{path}'")
 
 

@@ -4,7 +4,9 @@ The forward pass propagates, per layer, the triple (value, input-Jacobian,
 input-Laplacian) of every neuron. Parameter Jacobians of the network value,
 its input gradient, and its input Laplacian are obtained by reverse
 accumulation through that extended forward pass, so they are exact to
-floating point rather than numerically differenced.
+floating point rather than numerically differenced. Tangent-kernel Grams
+come from the same reverse pass in factored form (``factored_grams``),
+without materializing the N x P Jacobians.
 """
 
 import json
@@ -298,18 +300,23 @@ def forward(params, points, order=2):
     return st
 
 
-def _output_seeds(n, d, order):
-    """Adjoint seeds for the outputs [value, grad_0..grad_{d-1}, lap]."""
+def output_seeds(n, d, order):
+    """Unit adjoint seeds of the outputs [value, grad_0..grad_{d-1}, lap].
+
+    Returns ``(zbar, ubar, tbar)`` of shapes (n_out, N), (n_out, N, d) and
+    (n_out, N), restricted to ``order`` (absent orders are None): row o
+    seeds output o at every point.
+    """
     n_out = 1 + (d if order >= 1 else 0) + (1 if order >= 2 else 0)
-    zbar = np.zeros((n_out, n, 1))
+    zbar = np.zeros((n_out, n))
     zbar[0] = 1.0
     ubar = tbar = None
     if order >= 1:
-        ubar = np.zeros((n_out, n, d, 1))
+        ubar = np.zeros((n_out, n, d))
         for m in range(d):
-            ubar[1 + m, :, m, 0] = 1.0
+            ubar[1 + m, :, m] = 1.0
     if order >= 2:
-        tbar = np.zeros((n_out, n, 1))
+        tbar = np.zeros((n_out, n))
         tbar[1 + d] = 1.0
     return zbar, ubar, tbar
 
@@ -339,6 +346,24 @@ def _pull_through_activation(st, j, abar, gbar, qbar):
     return zbar, ubar, tbar
 
 
+def _reverse_layers(params, st, zbar, ubar, tbar):
+    """Yield ``(l, zbar, ubar, tbar)`` for l = L..1: the adjoints of (z_l, u_l, t_l).
+
+    The seeds are the last layer's adjoints, of shapes (..., N, 1),
+    (..., N, d, 1) and (..., N, 1) with an optional leading stacked-output
+    axis; ubar/tbar are None when the state lacks that order. Each step
+    reverses z_l = W_l a_{l-1} + b_l and then the activation of layer l-1.
+    """
+    for l in range(params.n_layers, 0, -1):
+        yield l, zbar, ubar, tbar
+        if l > 1:
+            w = params.weights[l - 1]
+            abar = zbar @ w
+            gbar = ubar @ w if ubar is not None else None
+            qbar = tbar @ w if tbar is not None else None
+            zbar, ubar, tbar = _pull_through_activation(st, l - 1, abar, gbar, qbar)
+
+
 def jacobian_blocks(params, st, chunk_elems=8_000_000):
     """Yield per-point Jacobian blocks of all outputs, layer by layer.
 
@@ -347,17 +372,16 @@ def jacobian_blocks(params, st, chunk_elems=8_000_000):
     'b' (all biases of the layer). Outputs are stacked in the order
     [value, grad_0..grad_{d-1}, lap], restricted to the state's order.
     Blocks are chunked so no intermediate exceeds roughly ``chunk_elems``
-    float64 elements.
+    float64 elements. These materialized blocks feed ``param_jacobians``
+    only (the oracle of the tests); kernel assembly goes through
+    ``factored_grams``, which never forms them.
     """
-    order = st.order
-    n = st.x.shape[0]
-    d = st.x.shape[1]
-    zbar, ubar, tbar = _output_seeds(n, d, order)
-    n_out = zbar.shape[0]
-    for l in range(params.n_layers, 0, -1):
-        w = params.weights[l - 1]
+    n, d = st.x.shape
+    seeds = [s[..., None] if s is not None else None for s in output_seeds(n, d, st.order)]
+    n_out = seeds[0].shape[0]
+    for l, zbar, ubar, tbar in _reverse_layers(params, st, *seeds):
         a_prev, g_prev, q_prev = st.a[l - 1], st.g[l - 1], st.q[l - 1]
-        n_l, n_prev = w.shape
+        n_l, n_prev = params.weights[l - 1].shape
         rows_per_chunk = max(1, int(chunk_elems // max(1, n_out * n * n_prev)))
         for p0 in range(0, n_l, rows_per_chunk):
             p1 = min(n_l, p0 + rows_per_chunk)
@@ -368,11 +392,6 @@ def jacobian_blocks(params, st, chunk_elems=8_000_000):
                 blk += np.einsum("onp,nq->onpq", tbar[:, :, p0:p1], q_prev)
             yield "w", l, p0, p1, blk.reshape(n_out, n, -1)
         yield "b", l, 0, n_l, zbar.copy()
-        if l > 1:
-            abar = zbar @ w
-            gbar = ubar @ w if ubar is not None else None
-            qbar = tbar @ w if tbar is not None else None
-            zbar, ubar, tbar = _pull_through_activation(st, l - 1, abar, gbar, qbar)
 
 
 def param_jacobians(params, points, order=2):
@@ -401,17 +420,96 @@ def param_jacobians(params, points, order=2):
     return j_value, j_grad, j_lap
 
 
-def value_backward_layers(params, st):
-    """Value-output adjoints z-bar per layer (list indexed 1..L), order-0 state ok."""
-    n = st.x.shape[0]
-    zbar = np.ones((n, 1))
-    out = [None] * (params.n_layers + 1)
-    out[params.n_layers] = zbar
-    for l in range(params.n_layers, 1, -1):
-        abar = zbar @ params.weights[l - 1]
-        zbar = abar * st.sp[l - 1]
-        out[l - 1] = zbar
+def _left_support(zbar, ubar, tbar):
+    """Per combination, the set of left-factor indices k that can be nonzero.
+
+    Reversing an activation feeds every adjoint into z, a t-adjoint into
+    every u slot (through 2 qbar sigma'' u) and a u slot only into itself,
+    so the seeds decide which factors stay zero in every layer.
+    """
+    d = ubar.shape[2] if ubar is not None else 0
+    support = []
+    for c in range(zbar.shape[0]):
+        has_t = tbar is not None and bool(tbar[c].any())
+        ks = {0}
+        if ubar is not None:
+            ks.update(1 + m for m in range(d) if has_t or ubar[c, :, m].any())
+        if has_t:
+            ks.add(1 + d)
+        support.append(ks)
+    return support
+
+
+def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
+    """Grams of the parameter gradients of per-point output combinations.
+
+    Combination c at point x_i is F_c(x_i) = zbar[c, i] N(x_i)
+    + ubar[c, i] . grad N(x_i) + tbar[c, i] lap N(x_i); the seeds have
+    shapes (C, N), (C, N, d) and (C, N), and ubar/tbar are None to leave
+    those outputs out. Returns an array of shape (len(pairs), N, N) whose
+    entry for the pair (c, c') is [<dF_c(x_i)/dtheta, dF_c'(x_j)/dtheta>]_ij.
+
+    Layer l's weight gradient of F_c at x_i is a sum of K = d + 2 outer
+    products sum_k L_k[i] (x) R_k[i]: the left factors are the reverse-pass
+    adjoints (zbar_l, ubar_l[:, m], tbar_l) of the combination, the right
+    factors the forward carriers (a_{l-1}, g_{l-1}[:, m], q_{l-1}), and the
+    bias gradient is L_0[i]. The layer's Gram is therefore
+    sum_{k,k'} (L_k L_k'^T) o (R_k R_k'^T) + L_0 L_0^T, accumulated one
+    (k, k') pair at a time: O(K^2 N^2 width) work, O(N^2 + N width)
+    scratch, and no N x P array. Diagonal pairs (c, c) are assembled from
+    k <= k' and returned exactly symmetric.
+    """
+    n, d = st.x.shape
+    if (ubar is not None and st.order < 1) or (tbar is not None and (st.order < 2 or ubar is None)):
+        raise ValueError("the seeds need a forward state of matching order")
+    support = _left_support(zbar, ubar, tbar)
+    seeds = [s[..., None] if s is not None else None for s in (zbar, ubar, tbar)]
+    out = np.zeros((len(pairs), n, n))
+    for l, zb, ub, tb in _reverse_layers(params, st, *seeds):
+        lefts, rights = [zb], [st.a[l - 1]]
+        if ub is not None:
+            lefts += [np.ascontiguousarray(ub[:, :, m]) for m in range(d)]
+            rights += [np.ascontiguousarray(st.g[l - 1][:, m]) for m in range(d)]
+        if tb is not None:
+            lefts.append(tb)
+            rights.append(st.q[l - 1] if l > 1 else None)  # the inputs have no Laplacian
+        _accumulate_layer_grams(out, pairs, support, lefts, rights)
+    for p, (c, c2) in enumerate(pairs):
+        if c == c2:
+            out[p] = out[p] + out[p].T
     return out
+
+
+def _accumulate_layer_grams(out, pairs, support, lefts, rights):
+    """Add one layer's sum_{k,k'} (L_k L_k'^T) o (R_k R_k'^T) to every pair's Gram.
+
+    Each R_k R_k'^T with k <= k' is formed once and shared by all pairs; the
+    (k', k) term of an off-diagonal pair uses its transpose. Diagonal pairs
+    take k <= k' only, with the k = k' terms halved, and are completed by
+    adding their transpose.
+    """
+    n_factors = len(lefts)
+    for k in range(n_factors):
+        for k2 in range(k, n_factors):
+            if rights[k] is None or rights[k2] is None:
+                continue
+            terms = []  # (pair index, left of c, left of c', transposed, halved)
+            for p, (c, c2) in enumerate(pairs):
+                if k in support[c] and k2 in support[c2]:
+                    terms.append((p, lefts[k][c], lefts[k2][c2], False, c == c2 and k == k2))
+                if c != c2 and k != k2 and k2 in support[c] and k in support[c2]:
+                    terms.append((p, lefts[k2][c], lefts[k][c2], True, False))
+            if not terms:
+                continue
+            rr = rights[k] @ rights[k2].T
+            if k == k2 == 0:
+                rr += 1.0  # the bias gradient is L_0 (x) 1
+            for p, left_x, left_y, transposed, halved in terms:
+                ll = left_x @ left_y.T
+                ll *= rr.T if transposed else rr
+                if halved:
+                    ll *= 0.5
+                out[p] += ll
 
 
 def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):
@@ -435,8 +533,7 @@ def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):
             tbar[:, 0] = w_lap
     slices = params.flat_slices()
     grad_flat = np.zeros(params.param_count())
-    for l in range(params.n_layers, 0, -1):
-        w = params.weights[l - 1]
+    for l, zbar, ubar, tbar in _reverse_layers(params, st, zbar, ubar, tbar):
         a_prev, g_prev, q_prev = st.a[l - 1], st.g[l - 1], st.q[l - 1]
         wbar = zbar.T @ a_prev
         if ubar is not None:
@@ -446,11 +543,6 @@ def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):
         ws, bs = slices[l - 1]
         grad_flat[ws] = wbar.ravel()
         grad_flat[bs] = zbar.sum(axis=0)
-        if l > 1:
-            abar = zbar @ w
-            gbar = ubar @ w if ubar is not None else None
-            qbar = tbar @ w if tbar is not None else None
-            zbar, ubar, tbar = _pull_through_activation(st, l - 1, abar, gbar, qbar)
     return grad_flat
 
 

@@ -267,3 +267,107 @@ def test_bundle_contains_all_three(self=None):
     bundle = kernels.assemble_bundle(p, pair, prob, grid, path="direct")
     assert bundle.kn.n == bundle.kt.n == bundle.kr.n == len(grid)
     assert bundle.provenance == "direct"
+
+
+ORACLE_CASES = [
+    (act, d, hidden)
+    for act in ("tanh", "sigmoid", "elu", "selu")
+    for d in (1, 2, 3)
+    for hidden in ((7,), (6, 5), (5, 6, 4))
+]
+ORACLE_SETUPS = {
+    1: ("diffusion1d_sincos", "tanh"),
+    2: ("diffusion2d", "tanh2d"),
+    3: ("diffusion3d", "tanh3d"),
+}
+
+
+def _oracle_setup(act, d, hidden, seed=0):
+    bench, family = ORACLE_SETUPS[d]
+    params = net.init_kaiming_uniform((d, *hidden, 1), act, seed)
+    x = np.random.default_rng(seed + 17 * d).uniform(0.05, 0.95, size=(12, d))
+    j0, j1, j2 = net.param_jacobians(params, x, order=2)
+    return params, x, pde.benchmark(bench), boundary.make_pair(family, {"alpha": 3.0}), j0, j1, j2
+
+
+def _assert_gram(got, ref):
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestFactoredGramsMatchJacobianGrams:
+    """Every kernel against J J^T built from the materialized parameter Jacobians.
+
+    The (d, w, 1) cases have a single hidden layer, whose input carriers are
+    the broadcast identity (g) and zero (q).
+    """
+
+    @pytest.mark.parametrize("act,d,hidden", ORACLE_CASES)
+    def test_kn_kt_kr(self, act, d, hidden):
+        params, x, prob, pair, j0, j1, j2 = _oracle_setup(act, d, hidden)
+        _assert_gram(kernels.assemble_kn(params, x).a, j0 @ j0.T)
+        rows = pair.value(x)[:, None] * j0
+        _assert_gram(kernels.assemble_kt(params, pair, x, path="direct").a, rows @ rows.T)
+        cf = pde.coefficients(prob.op, pair, x)
+        rows = cf.alpha[:, None] * j0 + np.einsum("nm,nmp->np", cf.beta, j1) + cf.gamma[:, None] * j2
+        _assert_gram(kernels.assemble_kr(params, prob, pair, x, path="direct").a, rows @ rows.T)
+
+    @pytest.mark.parametrize("act,d,hidden", ORACLE_CASES)
+    def test_component_kernels(self, act, d, hidden):
+        params, x, _, _, j0, j1, j2 = _oracle_setup(act, d, hidden)
+        comp = kernels.component_kernels(params, x)
+        _assert_gram(comp["nn"], j0 @ j0.T)
+        _assert_gram(comp["nlap"], j0 @ j2.T)
+        _assert_gram(comp["laplap"], j2 @ j2.T)
+        for m in range(d):
+            _assert_gram(comp["ngrad"][m], j0 @ j1[:, m].T)
+            _assert_gram(comp["gradlap"][m], j1[:, m] @ j2.T)
+            for k in range(d):
+                _assert_gram(comp["gradgrad"][m, k], j1[:, m] @ j1[:, k].T)
+
+    def test_cross_grams_of_general_combinations(self):
+        # Three combinations with different zero patterns: all outputs, value
+        # plus one gradient slot, value only; every pair against the oracle.
+        params, x, _, _, j0, j1, j2 = _oracle_setup("tanh", 2, (6, 5), seed=3)
+        rng = np.random.default_rng(5)
+        n = x.shape[0]
+        zbar = rng.standard_normal((3, n))
+        ubar = np.zeros((3, n, 2))
+        ubar[0] = rng.standard_normal((n, 2))
+        ubar[1, :, 1] = rng.standard_normal(n)
+        tbar = np.zeros((3, n))
+        tbar[0] = rng.standard_normal(n)
+        rows = [zbar[c][:, None] * j0 + np.einsum("nm,nmp->np", ubar[c], j1)
+                + tbar[c][:, None] * j2 for c in range(3)]
+        pairs = [(c, c2) for c in range(3) for c2 in range(3)]
+        st = net.forward(params, x, order=2)
+        grams = net.factored_grams(params, st, zbar, ubar, tbar, pairs=pairs)
+        for (c, c2), got in zip(pairs, grams):
+            _assert_gram(got, rows[c] @ rows[c2].T)
+
+    def test_diagonal_grams_exactly_symmetric(self, poisson, quad_pair, pts):
+        p = make_params(9)
+        st = net.forward(p, pts, order=2)
+        cf = pde.coefficients(poisson.op, quad_pair, pts)
+        k = net.factored_grams(p, st, cf.alpha[None], cf.beta[None], cf.gamma[None])[0]
+        assert np.array_equal(k, k.T)
+
+    def test_seeds_beyond_state_order_rejected(self, pts):
+        p = make_params(1)
+        st = net.forward(p, pts, order=0)
+        n = pts.shape[0]
+        with pytest.raises(ValueError):
+            net.factored_grams(p, st, np.ones((1, n)), np.ones((1, n, 1)))
+
+
+def test_kernel_assembly_never_materializes_jacobian_blocks(monkeypatch, poisson, quad_pair, pts):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel assembly called net.jacobian_blocks")
+
+    monkeypatch.setattr(net, "jacobian_blocks", forbidden)
+    p = make_params(4)
+    kernels.assemble_kn(p, pts)
+    for path in ("direct", "composed"):
+        kernels.assemble_kt(p, quad_pair, pts, path=path)
+        kernels.assemble_kr(p, poisson, quad_pair, pts, path=path)
+    kernels.component_kernels(p, pts)
+    kernels.assemble_bundle(p, quad_pair, poisson, pts, path="direct")

@@ -1,299 +1,8 @@
-"""Symmetric eigensolver: Householder tridiagonalization + implicit-shift QL.
+"""Name of the symmetric eigensolver behind ``linalg.eig_sym``.
 
-Two interchangeable backends compute the same decomposition:
-
-* a numba ``@njit`` backend compiling the classic scalar loops (default), and
-* a pure-numpy backend with vectorized Householder updates and rotation
-  application, selected by setting ``HCNTK_NO_NUMBA=1`` (also used
-  automatically when numba is unavailable).
-
-``benchmarks/bench_eigh.py`` compares the two.
-
-Both backends follow the EISPACK tred2/tql2 formulation. The numpy
-Householder stage reduces rows from the last one upward, in tred2's order:
-implicit-shift QL relies on the graded tridiagonal that order produces, and
-on a top-down reduction it can stall on near-rank-deficient PSD kernels. Both
-QL loops use tql2's running-norm deflation test: when stage ``l`` starts,
-``tst1 = max(tst1, |d[l]| + |e[l]|)``, and ``e[m]`` is negligible once
-``|e[m]| <= EPS * tst1``, so a noise-level eigenvalue cluster deflates
-against the scale of the whole matrix rather than its own. The QL stage is
-bounded at ``max_sweeps`` implicit-shift sweeps per eigenvalue, giving a
-total budget of ``max_sweeps * n``; exceeding it reports failure with the
-sweep count (negative return) instead of looping forever.
+``eig_sym`` calls LAPACK through ``numpy.linalg.eigh``; there is no other
+backend. The module remains so that tools which print the eigensolver next
+to their measurements (the benchmark's run header) can still read it.
 """
 
-import math
-import os
-
-import numpy as np
-
-_EPS = 2.220446049250313e-16
-
-
-def _tred2_py(a, d, e):
-    # Householder reduction of symmetric a (modified in place) to tridiagonal
-    # form; on exit a holds the accumulated orthogonal transform, d the
-    # diagonal and e[1:] the subdiagonal (EISPACK tred2, 0-indexed).
-    n = a.shape[0]
-    for i in range(n - 1, 0, -1):
-        l = i - 1
-        h = 0.0
-        if l > 0:
-            scale = 0.0
-            for k in range(l + 1):
-                scale += abs(a[i, k])
-            if scale == 0.0:
-                e[i] = a[i, l]
-            else:
-                for k in range(l + 1):
-                    a[i, k] /= scale
-                    h += a[i, k] * a[i, k]
-                f = a[i, l]
-                g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
-                e[i] = scale * g
-                h -= f * g
-                a[i, l] = f - g
-                f = 0.0
-                for j in range(l + 1):
-                    a[j, i] = a[i, j] / h
-                    g = 0.0
-                    for k in range(j + 1):
-                        g += a[j, k] * a[i, k]
-                    for k in range(j + 1, l + 1):
-                        g += a[k, j] * a[i, k]
-                    e[j] = g / h
-                    f += e[j] * a[i, j]
-                hh = f / (h + h)
-                for j in range(l + 1):
-                    f = a[i, j]
-                    g = e[j] - hh * f
-                    e[j] = g
-                    for k in range(j + 1):
-                        a[j, k] -= f * e[k] + g * a[i, k]
-        else:
-            e[i] = a[i, l]
-        d[i] = h
-    d[0] = 0.0
-    e[0] = 0.0
-    for i in range(n):
-        if d[i] != 0.0:
-            for j in range(i):
-                g = 0.0
-                for k in range(i):
-                    g += a[i, k] * a[k, j]
-                for k in range(i):
-                    a[k, j] -= g * a[k, i]
-        d[i] = a[i, i]
-        a[i, i] = 1.0
-        for j in range(i):
-            a[j, i] = 0.0
-            a[i, j] = 0.0
-
-
-def _tql2_py(d, e, z, max_sweeps):
-    # Implicit-shift QL on tridiagonal (d, e) with eigenvector accumulation
-    # into z. e uses the e[i] = T[i, i+1] convention with e[n-1] == 0.
-    # Returns total sweep count, negated on budget exhaustion.
-    n = d.shape[0]
-    total = 0
-    tst1 = 0.0
-    for l in range(n):
-        sweeps = 0
-        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
-        while True:
-            m = l
-            while m < n - 1:
-                if abs(e[m]) <= _EPS * tst1:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            total += 1
-            if sweeps > max_sweeps:
-                return -total
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                for k in range(n):
-                    f = z[k, i + 1]
-                    z[k, i + 1] = s * z[k, i] + c * f
-                    z[k, i] = c * z[k, i] - s * f
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return total
-
-
-def _decompose_numba(a, max_sweeps):
-    d = np.empty(a.shape[0])
-    e = np.empty(a.shape[0])
-    _tred2_nb(a, d, e)
-    n = a.shape[0]
-    for i in range(1, n):
-        e[i - 1] = e[i]
-    e[n - 1] = 0.0
-    sweeps = _tql2_nb(d, e, a, max_sweeps)
-    return d, a, sweeps
-
-
-def _decompose_numpy(a, max_sweeps, vectors=True):
-    # Householder phase vectorized with rank-2 symmetric updates, reducing
-    # rows from the last one upward in tred2's order so that the tridiagonal
-    # comes out graded the way QL expects; the QL phase reuses the scalar
-    # control flow but applies each plane rotation to whole eigenvector
-    # columns. The transform is accumulated transposed, in ``zt``, so those
-    # columns are contiguous rows. Without ``vectors`` neither phase
-    # accumulates it; the (d, e) recurrences, and so the eigenvalues, are
-    # unchanged.
-    n = a.shape[0]
-    zt = np.eye(n) if vectors else None
-    for i in range(n - 1, 1, -1):
-        x = a[i, :i]
-        alpha = math.sqrt(float(x @ x))
-        if alpha == 0.0:
-            continue
-        if x[-1] >= 0.0:
-            alpha = -alpha
-        v = x.copy()
-        v[-1] -= alpha
-        vnorm = math.sqrt(float(v @ v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        sub = a[:i, :i]
-        w = sub @ v
-        kvw = float(v @ w)
-        sub -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v) - 4.0 * kvw * np.outer(v, v)
-        a[i, :i].fill(0.0)
-        a[:i, i].fill(0.0)
-        a[i, i - 1] = alpha
-        a[i - 1, i] = alpha
-        if vectors:
-            zr = zt[:i]
-            zr -= 2.0 * np.outer(v, v @ zr)
-    d = np.diag(a).copy()
-    e = np.zeros(n)
-    e[: n - 1] = np.diag(a, -1)
-    sweeps = _tql2_rotcols(d, e, zt, max_sweeps)
-    return d, zt.T if vectors else None, sweeps
-
-
-def _tql2_rotcols(d, e, zt, max_sweeps):
-    # _tql2_py with each rotation applied to whole rows of the transposed
-    # eigenvector matrix ``zt`` (None: eigenvalues only).
-    n = d.shape[0]
-    total = 0
-    tst1 = 0.0
-    for l in range(n):
-        sweeps = 0
-        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
-        while True:
-            m = l
-            while m < n - 1:
-                if abs(e[m]) <= _EPS * tst1:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            total += 1
-            if sweeps > max_sweeps:
-                return -total
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if zt is not None:
-                    rows = zt[i : i + 2]
-                    rows[...] = np.array([[c, -s], [s, c]]) @ rows
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return total
-
-
-def _want_numba():
-    return os.environ.get("HCNTK_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        _tred2_nb = njit(cache=True)(_tred2_py)
-        _tql2_nb = njit(cache=True)(_tql2_py)
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but be safe
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-def decompose_symmetric(matrix, max_sweeps=50, backend=None, vectors=True):
-    """Full eigendecomposition of a symmetric matrix.
-
-    Returns ``(eigenvalues, eigenvectors, sweeps)`` with unsorted eigenvalues
-    and eigenvectors in matching columns. ``sweeps`` is the total number of
-    QL sweeps used; a negative value signals convergence failure at
-    ``abs(sweeps)`` (callers raise ``EigFailure``). With ``vectors=False``
-    the numpy backend skips accumulating the orthogonal transform and the
-    eigenvectors come back as None; the eigenvalues and sweep count are the
-    same as with ``vectors=True``.
-    """
-    a = np.array(matrix, dtype=np.float64, order="C", copy=True)
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy(), np.ones((1, 1)) if vectors else None, 0
-    use = backend if backend is not None else BACKEND
-    if use == "numba" and HAS_NUMBA:
-        vals, vecs, sweeps = _decompose_numba(a, max_sweeps)
-        return vals, vecs if vectors else None, sweeps
-    return _decompose_numpy(a, max_sweeps, vectors)
+BACKEND = "lapack"

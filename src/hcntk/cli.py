@@ -7,7 +7,7 @@ forced on, so every assembled matrix lands on disk as CSV.
 
 Exit codes: 0 success, 1 config error, 2 run failures present (with ok
 rows), 3 I/O error. Environment: HCNTK_WORKERS (sweep worker count),
-HCNTK_VERBOSE (0/1/2), HCNTK_NO_NUMBA (force the numpy eigensolver path).
+HCNTK_VERBOSE (0/1/2).
 """
 
 import argparse

@@ -10,11 +10,7 @@ class InvalidMatrix(HcntkError):
 
 
 class EigFailure(HcntkError):
-    """Eigensolver failed to converge within the sweep budget."""
-
-    def __init__(self, iterations, message="eigensolver did not converge"):
-        super().__init__(f"{message} (after {iterations} sweeps)")
-        self.iterations = iterations
+    """LAPACK's symmetric eigensolver did not converge."""
 
 
 class DegenerateKernel(HcntkError):

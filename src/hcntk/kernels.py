@@ -37,7 +37,6 @@ class TrialEval:
     value: np.ndarray  # (N,)
     grad: np.ndarray  # (N, d)
     lap: np.ndarray  # (N,)
-    jac: np.ndarray | None  # (N, P) parameter Jacobian of the trial function
 
 
 @dataclass
@@ -53,8 +52,8 @@ def _symmetrize(k):
     return SymMatrix(0.5 * (k + k.T))
 
 
-def trial_eval(trial, points, with_jacobian=False, state=None):
-    """Trial value, gradient, and Laplacian (and optionally d u~ / d theta).
+def trial_eval(trial, points, state=None):
+    """Trial value, gradient, and Laplacian.
 
     u~    = A + B N
     grad  = grad A + N grad B + B grad N
@@ -74,11 +73,7 @@ def trial_eval(trial, points, with_jacobian=False, state=None):
         + 2.0 * np.sum(gb * st.grad, axis=1)
         + b * st.lap
     )
-    jac = None
-    if with_jacobian:
-        j_value, _, _ = net.param_jacobians(trial.params, x, order=2)
-        jac = b[:, None] * j_value
-    return TrialEval(value=value, grad=grad, lap=lap, jac=jac)
+    return TrialEval(value=value, grad=grad, lap=lap)
 
 
 def assemble_kn(params, points):

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _eigh
 from .errors import (
     DegenerateKernel,
     EigFailure,
@@ -56,7 +55,7 @@ class SpectrumReport:
     """Eigendecomposition plus the scalar spectral metrics derived from it."""
 
     eigenvalues: np.ndarray  # descending
-    eigenvectors: np.ndarray | None  # orthonormal columns, aligned with eigenvalues
+    eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
     kappa: float
     eff_rank: float
     trace: float
@@ -64,7 +63,7 @@ class SpectrumReport:
     lambda_max: float
     lambda_min: float
     numerical_rank: int
-    sweeps: int
+    sweeps: int  # always 0: LAPACK reports no iteration count (the traced benchmark sums it)
 
 
 @dataclass
@@ -79,25 +78,25 @@ class EnsembleStats:
     cv_max: float
 
 
-def eig_sym(m: SymMatrix, max_sweeps: int = 50, vectors: bool = True) -> SpectrumReport:
-    """Full symmetric eigendecomposition with descending eigenvalues.
+def eig_sym(m: SymMatrix) -> SpectrumReport:
+    """Full symmetric eigendecomposition (LAPACK) with descending eigenvalues.
 
     The condition number uses the raw smallest eigenvalue, floored at
     ``KAPPA_FLOOR`` only to guard exact zeros; no rank truncation is applied.
     A separate numerical rank (eigenvalues above ``1e-12 * lambda_max``) is
-    reported alongside. ``vectors=False`` leaves ``eigenvectors`` as None and
-    skips their accumulation; every other field is the same.
+    reported alongside. Raises ``EigFailure`` when LAPACK does not converge.
     """
     a = m.a
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
-    vals, vecs, sweeps = _eigh.decompose_symmetric(a, max_sweeps=max_sweeps, vectors=vectors)
-    if sweeps < 0:
-        raise EigFailure(-sweeps)
-    order = np.argsort(vals)[::-1]
-    vals = np.ascontiguousarray(vals[order])
-    if vecs is not None:
-        vecs = np.ascontiguousarray(vecs[:, order])
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
+    # LAPACK returns ascending order. The contiguous copy is made after its
+    # workspace is freed, so it does not raise the peak memory of the call.
+    vals = vals[::-1].copy()
+    vecs = np.ascontiguousarray(vecs[:, ::-1])
     trace = float(np.trace(a))
     frob = float(np.linalg.norm(a))
     lam_max = float(vals[0])
@@ -115,7 +114,7 @@ def eig_sym(m: SymMatrix, max_sweeps: int = 50, vectors: bool = True) -> Spectru
         lambda_max=lam_max,
         lambda_min=lam_min,
         numerical_rank=num_rank,
-        sweeps=sweeps,
+        sweeps=0,
     )
 
 

@@ -160,7 +160,7 @@ def _snapshot(epoch, theta, template, pair, problem, points, keep_matrices):
     bundle = kernels.assemble_bundle(p, pair, problem, points, path="direct")
     entry = {"epoch": int(epoch)}
     for name, mat in (("kn", bundle.kn), ("kt", bundle.kt), ("kr", bundle.kr)):
-        rep = eig_sym(mat, vectors=False)  # the snapshot keeps scalars only
+        rep = eig_sym(mat)
         lam = rep.eigenvalues
         retained = lam[lam >= FROZEN_MODE_CUT * max(rep.lambda_max, 0.0)]
         entry[name] = {

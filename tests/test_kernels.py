@@ -216,13 +216,6 @@ class TestTrialEval:
         assert np.abs(te.grad[:, 0] - g_fd).max() <= 1e-6 * max(1, np.abs(g_fd).max())
         assert np.abs(te.lap - l_fd).max() <= 1e-6 * max(1, np.abs(l_fd).max())
 
-    def test_jacobian_is_b_scaled_value_jacobian(self, quad_pair, pts):
-        p = make_params(4)
-        trial = kernels.TrialFunction(pair=quad_pair, params=p)
-        te = kernels.trial_eval(trial, pts, with_jacobian=True)
-        j0, _, _ = net.param_jacobians(p, pts, order=0)
-        assert np.allclose(te.jac, quad_pair.value(pts)[:, None] * j0)
-
 
 class TestKtInvarianceInheritsFromKn:
     @staticmethod

@@ -1,9 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
-from hcntk import _eigh, boundary, kernels, net, train
+from hcntk import boundary, experiments, io, kernels, net, train
 from hcntk.errors import (
     DegenerateKernel,
     EigFailure,
@@ -91,45 +89,32 @@ class TestEigSym:
         with pytest.raises(InvalidMatrix):
             eig_sym(SymMatrix(a))
 
-    def test_eig_failure_carries_iterations(self, rng):
-        with pytest.raises(EigFailure) as exc:
-            eig_sym(SymMatrix(random_sym(rng, 12)), max_sweeps=0)
-        assert exc.value.iterations >= 1
+    def test_lapack_failure_raises_and_surfaces_as_row(self, rng, tmp_path, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def test_values_only_matches_full_decomposition(self, rng):
-        for m in (SymMatrix(random_sym(rng, 40)), SymMatrix(random_psd(rng, 60, rank=6))):
-            full = eig_sym(m)
-            vals = eig_sym(m, vectors=False)
-            assert vals.eigenvectors is None
-            assert np.array_equal(vals.eigenvalues, full.eigenvalues)
-            assert vals.sweeps == full.sweeps
-            assert (vals.kappa, vals.eff_rank, vals.numerical_rank) == (
-                full.kappa, full.eff_rank, full.numerical_rank)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(EigFailure):
+            eig_sym(SymMatrix(random_sym(rng, 12)))
+        cfg = {
+            "schema_version": 1,
+            "kind": "kr-spectrum",
+            "benchmark": "poisson1d_sin",
+            "seeds": [0],
+            "network": {"hidden": [8, 8], "activation": "tanh"},
+            "grid": {"n_per_axis": 12, "mode": "trimmed"},
+            "families": [{"family": "power", "params": {"alpha": 1.0}}],
+        }
+        res = experiments.run_experiment(cfg, str(tmp_path / "out"))
+        assert res.n_failures == 1
+        header, (row,) = io.read_csv(tmp_path / "out" / "rows.csv")
+        written = dict(zip(header, row))
+        assert written["status"] == "eig-failure"
+        assert all(np.isnan(float(written[c])) for c in experiments.SPECTRUM_COLS)
 
     def test_kappa_floor_for_nonpositive_lambda_min(self):
         rep = eig_sym(SymMatrix(np.diag([1.0, 0.0])))
         assert rep.kappa == pytest.approx(1e300)
-
-    def test_backends_agree(self, rng):
-        a = random_sym(rng, 30)
-        v1, z1, _ = _eigh.decompose_symmetric(a, backend="numba")
-        v2, z2, _ = _eigh.decompose_symmetric(a, backend="numpy")
-        assert np.allclose(np.sort(v1), np.sort(v2), atol=1e-10 * np.abs(v1).max())
-        for vals, vecs in ((v1, z1), (v2, z2)):
-            rec = vecs @ np.diag(vals) @ vecs.T
-            assert np.linalg.norm(rec - a) <= 1e-7 * np.linalg.norm(a)
-
-    def test_env_flag_selects_numpy_backend(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c", "from hcntk import _eigh; print(_eigh.BACKEND)"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "HCNTK_NO_NUMBA": "1"},
-        )
-        assert out.stdout.strip() == "numpy"
 
 
 def _assert_exact_decomposition(a, vals, vecs):
@@ -156,16 +141,6 @@ class TestEigSymRankDeficient:
         kt = kernels.assemble_kt(params, pair, train.build_grid(1, 100, "trimmed"))
         rep = eig_sym(kt)
         _assert_exact_decomposition(kt.a, rep.eigenvalues, rep.eigenvectors)
-
-    def test_scalar_loops_converge(self, rng, monkeypatch):
-        # The scalar tred2/tql2 loops are what the numba backend compiles;
-        # run them uncompiled so they are checked without numba too.
-        monkeypatch.setattr(_eigh, "_tred2_nb", _eigh._tred2_py, raising=False)
-        monkeypatch.setattr(_eigh, "_tql2_nb", _eigh._tql2_py, raising=False)
-        a = random_psd(rng, 40, rank=4)
-        vals, vecs, sweeps = _eigh._decompose_numba(a.copy(), 50)
-        assert sweeps > 0
-        _assert_exact_decomposition(a, vals, vecs)
 
 
 class TestCka:

@@ -1,14 +1,19 @@
-"""Linear differential operators, benchmark problems, and residual coefficients."""
+"""Linear differential operators, benchmark problems, and residual coefficients.
 
+The benchmark problems are closed-form numpy expressions transcribed from
+a symbolic derivation of each source; tests/test_pde.py re-derives them
+symbolically and checks them bitwise, and ``Problem.self_check`` still
+runs when a benchmark is loaded. No computer algebra runs at runtime.
+"""
+
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
+from numpy import cos, pi, sin
 
 from .errors import ConfigError, SingularCoefficient
-
-BENCHMARK_NAMES = ("poisson1d_sin", "diffusion1d_sincos", "diffusion2d", "diffusion3d")
 
 
 @dataclass
@@ -116,71 +121,120 @@ def dump_coefficients(op, pair, points, path):
     return path
 
 
-def _lambdify_fields(expr, symbols):
-    """Value/gradient/Laplacian callables on (N, d) arrays from a sympy expression."""
-    grads = [sp.diff(expr, s) for s in symbols]
-    lap = sum(sp.diff(expr, s, 2) for s in symbols)
-    f_v = sp.lambdify(symbols, expr, "numpy")
-    f_g = [sp.lambdify(symbols, g, "numpy") for g in grads]
-    f_l = sp.lambdify(symbols, sp.simplify(lap), "numpy")
+@dataclass(frozen=True)
+class _ClosedForm:
+    """One benchmark: u(x) with its gradient, Laplacian and source f = c0 u + c2 lap(u).
 
-    def value(x):
-        cols = [x[:, m] for m in range(len(symbols))]
-        return np.broadcast_to(np.asarray(f_v(*cols), dtype=np.float64), (x.shape[0],)).copy()
+    Each field is a numpy expression in the coordinate columns (x, y, z).
+    """
 
-    def grad(x):
-        cols = [x[:, m] for m in range(len(symbols))]
-        out = np.empty((x.shape[0], len(symbols)))
-        for m, fg in enumerate(f_g):
-            out[:, m] = np.broadcast_to(np.asarray(fg(*cols), dtype=np.float64), (x.shape[0],))
+    dim: int
+    c0: float
+    c2: float
+    value: Callable
+    grad: tuple  # one callable per coordinate
+    lap: Callable
+    source: Callable
+
+
+# Transcribed, operand order included, from the numpy code that a symbolic
+# derivation (diff, simplify, lambdify) of the exact solutions prints;
+# tests/test_pde.py re-derives them and checks every field bitwise.
+_CLOSED_FORMS = {
+    # u = -sin(pi x), u'' = f
+    "poisson1d_sin": _ClosedForm(
+        dim=1,
+        c0=0.0,
+        c2=1.0,
+        value=lambda x: -sin(pi * x),
+        grad=(lambda x: -pi * cos(pi * x),),
+        lap=lambda x: pi**2 * sin(pi * x),
+        source=lambda x: 1.0 * pi**2 * sin(pi * x),
+    ),
+    # u = sin(pi x) cos(2 pi x), -u'' = f
+    "diffusion1d_sincos": _ClosedForm(
+        dim=1,
+        c0=0.0,
+        c2=-1.0,
+        value=lambda x: sin(pi * x) * cos(2 * pi * x),
+        grad=(
+            lambda x: -2 * pi * sin(pi * x) * sin(2 * pi * x) + pi * cos(pi * x) * cos(2 * pi * x),
+        ),
+        lap=lambda x: pi**2 * (18 * sin(pi * x) ** 2 - 13) * sin(pi * x),
+        source=lambda x: pi**2 * (-0.5 * sin(pi * x) + 4.5 * sin(3 * pi * x)),
+    ),
+    # u = sin(pi x) sin(pi y), -lap(u) + u = f
+    "diffusion2d": _ClosedForm(
+        dim=2,
+        c0=1.0,
+        c2=-1.0,
+        value=lambda x, y: sin(pi * x) * sin(pi * y),
+        grad=(
+            lambda x, y: pi * sin(pi * y) * cos(pi * x),
+            lambda x, y: pi * sin(pi * x) * cos(pi * y),
+        ),
+        lap=lambda x, y: -2 * pi**2 * sin(pi * x) * sin(pi * y),
+        source=lambda x, y: (1.0 + 2.0 * pi**2) * sin(pi * x) * sin(pi * y),
+    ),
+    # u = sin(pi x) sin(pi y) sin(pi z), -D lap(u) + a u = f with D = a = 1
+    "diffusion3d": _ClosedForm(
+        dim=3,
+        c0=1.0,
+        c2=-1.0,
+        value=lambda x, y, z: sin(pi * x) * sin(pi * y) * sin(pi * z),
+        grad=(
+            lambda x, y, z: pi * sin(pi * y) * sin(pi * z) * cos(pi * x),
+            lambda x, y, z: pi * sin(pi * x) * sin(pi * z) * cos(pi * y),
+            lambda x, y, z: pi * sin(pi * x) * sin(pi * y) * cos(pi * z),
+        ),
+        lap=lambda x, y, z: -3 * pi**2 * sin(pi * x) * sin(pi * y) * sin(pi * z),
+        source=lambda x, y, z: (1.0 + 3.0 * pi**2) * sin(pi * x) * sin(pi * y) * sin(pi * z),
+    ),
+}
+BENCHMARK_NAMES = tuple(_CLOSED_FORMS)
+
+
+def _scalar_field(fn):
+    """(N, d) points -> fresh float64 (N,) array of fn evaluated on the columns."""
+
+    def field(x):
+        return np.asarray(fn(*x.T), dtype=np.float64)
+
+    return field
+
+
+def _gradient_field(fns):
+    """(N, d) points -> fresh float64 (N, d) array, column m from fns[m]."""
+
+    def field(x):
+        out = np.empty(x.shape)
+        for m, fn in enumerate(fns):
+            out[:, m] = fn(*x.T)
         return out
 
-    def laplacian(x):
-        cols = [x[:, m] for m in range(len(symbols))]
-        return np.broadcast_to(np.asarray(f_l(*cols), dtype=np.float64), (x.shape[0],)).copy()
-
-    return value, grad, laplacian
+    return field
 
 
 @lru_cache(maxsize=None)
 def benchmark(name):
-    """Diffusion benchmarks with symbolically derived sources.
+    """Diffusion benchmarks with closed-form exact solutions and sources.
 
-    The source is obtained by applying the operator to the exact solution
-    with sympy (never hand-typed), which guarantees the self-consistency
-    gate holds by construction; the gate still runs at load.
+    The closed forms in ``_CLOSED_FORMS`` were transcribed from a symbolic
+    derivation of the source (f = c0 u + c2 lap(u)); tests/test_pde.py
+    re-derives every field symbolically and checks it bitwise, and the
+    self-consistency gate still runs at load.
     """
-    if name not in BENCHMARK_NAMES:
+    if name not in _CLOSED_FORMS:
         raise ConfigError(f"unknown benchmark '{name}' (choose from {BENCHMARK_NAMES})")
-    x, y, z = sp.symbols("x y z")
-    if name == "poisson1d_sin":
-        dim, syms = 1, (x,)
-        u = -sp.sin(sp.pi * x)
-        c0, c2 = 0.0, 1.0  # u'' = f
-    elif name == "diffusion1d_sincos":
-        dim, syms = 1, (x,)
-        u = sp.sin(sp.pi * x) * sp.cos(2 * sp.pi * x)
-        c0, c2 = 0.0, -1.0  # -u'' = f
-    elif name == "diffusion2d":
-        dim, syms = 2, (x, y)
-        u = sp.sin(sp.pi * x) * sp.sin(sp.pi * y)
-        c0, c2 = 1.0, -1.0  # -lap(u) + u = f
-    else:  # diffusion3d, constants D = a = 1
-        dim, syms = 3, (x, y, z)
-        u = sp.sin(sp.pi * x) * sp.sin(sp.pi * y) * sp.sin(sp.pi * z)
-        c0, c2 = 1.0, -1.0  # -D lap(u) + a u = f
-    f_expr = c0 * u + c2 * sum(sp.diff(u, s, 2) for s in syms)
-    exact_v, exact_g, exact_l = _lambdify_fields(u, syms)
-    source_v, _, _ = _lambdify_fields(sp.simplify(f_expr), syms)
-    op = LinearOperator(dim=dim, c0=c0, c1=None, c2=c2)
+    form = _CLOSED_FORMS[name]
     prob = Problem(
         name=name,
-        dim=dim,
-        op=op,
-        source=source_v,
-        exact=exact_v,
-        exact_grad=exact_g,
-        exact_lap=exact_l,
+        dim=form.dim,
+        op=LinearOperator(dim=form.dim, c0=form.c0, c1=None, c2=form.c2),
+        source=_scalar_field(form.source),
+        exact=_scalar_field(form.value),
+        exact_grad=_gradient_field(form.grad),
+        exact_lap=_scalar_field(form.lap),
     )
     prob.self_check()
     return prob

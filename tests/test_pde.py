@@ -1,9 +1,92 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from hcntk import boundary, pde
 from hcntk.errors import ConfigError, SingularCoefficient
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_X, _Y, _Z = sp.symbols("x y z")
+# exact solution, coordinate symbols, c0, c2 of L[u] = c0 u + c2 lap(u)
+SYMBOLIC_BENCHMARKS = {
+    "poisson1d_sin": (-sp.sin(sp.pi * _X), (_X,), 0.0, 1.0),
+    "diffusion1d_sincos": (sp.sin(sp.pi * _X) * sp.cos(2 * sp.pi * _X), (_X,), 0.0, -1.0),
+    "diffusion2d": (sp.sin(sp.pi * _X) * sp.sin(sp.pi * _Y), (_X, _Y), 1.0, -1.0),
+    "diffusion3d": (
+        sp.sin(sp.pi * _X) * sp.sin(sp.pi * _Y) * sp.sin(sp.pi * _Z),
+        (_X, _Y, _Z),
+        1.0,
+        -1.0,
+    ),
+}
+
+
+def _symbolic_fields(name):
+    """Value, gradient components, Laplacian and source derived and lambdified by sympy."""
+    u, syms, c0, c2 = SYMBOLIC_BENCHMARKS[name]
+    lap = sum(sp.diff(u, s, 2) for s in syms)
+    f = sp.simplify(c0 * u + c2 * lap)
+    return {
+        "value": sp.lambdify(syms, u, "numpy"),
+        "grad": [sp.lambdify(syms, sp.diff(u, s), "numpy") for s in syms],
+        "lap": sp.lambdify(syms, sp.simplify(lap), "numpy"),
+        "source": sp.lambdify(syms, f, "numpy"),
+    }
+
+
+def _oracle_points(dim, rng):
+    """500 uniform points in [0,1]^d plus a 101-point grid: every coordinate runs
+    over linspace(0, 1, 101), boundary values included, in a per-axis order."""
+    t = np.linspace(0.0, 1.0, 101)
+    k = np.arange(101)
+    grid = np.stack([t[(k * (1, 37, 53)[m]) % 101] for m in range(dim)], axis=1)
+    return np.vstack([rng.uniform(0.0, 1.0, size=(500, dim)), grid])
+
+
+class TestClosedFormsMatchSymbolicDerivation:
+    @pytest.mark.parametrize("name", pde.BENCHMARK_NAMES)
+    def test_fields_bitwise_equal(self, name):
+        _, syms, c0, c2 = SYMBOLIC_BENCHMARKS[name]
+        prob = pde.benchmark(name)
+        assert (prob.dim, prob.op.c0, prob.op.c2, prob.op.c1) == (len(syms), c0, c2, None)
+        oracle = _symbolic_fields(name)
+        x = _oracle_points(prob.dim, np.random.default_rng(7))
+        cols = [x[:, m] for m in range(prob.dim)]
+        for field in (prob.exact, prob.exact_lap, prob.source):
+            out = field(x)
+            assert out.dtype == np.float64 and out.shape == (len(x),)
+        assert np.array_equal(prob.exact(x), oracle["value"](*cols))
+        grad = prob.exact_grad(x)
+        assert grad.dtype == np.float64 and grad.shape == x.shape
+        for m, g in enumerate(oracle["grad"]):
+            assert np.array_equal(grad[:, m], g(*cols)), f"gradient component {m}"
+        assert np.array_equal(prob.exact_lap(x), oracle["lap"](*cols))
+        assert np.array_equal(prob.source(x), oracle["source"](*cols))
+
+    def test_cold_start_does_not_import_sympy(self):
+        code = (
+            "import sys\n"
+            "import hcntk.cli, hcntk.experiments\n"
+            "from hcntk import pde\n"
+            "for name in pde.BENCHMARK_NAMES:\n"
+            "    pde.benchmark(name)\n"
+            "assert 'sympy' not in sys.modules, 'sympy imported'\n"
+        )
+        pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBenchmarks:

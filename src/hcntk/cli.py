@@ -6,8 +6,7 @@ seed list for ad-hoc runs. `ntk` is `spectrum` with kernel persistence
 forced on, so every assembled matrix lands on disk as CSV.
 
 Exit codes: 0 success, 1 config error, 2 run failures present (with ok
-rows), 3 I/O error. Environment: HCNTK_WORKERS (sweep worker count),
-HCNTK_VERBOSE (0/1/2).
+rows), 3 I/O error. Environment: HCNTK_VERBOSE (0/1/2).
 """
 
 import argparse
@@ -51,7 +50,6 @@ def build_parser():
     _add_run_verb(sub, "invariance", "K_n initialization-invariance studies")
     _add_run_verb(sub, "correlate", "correlation analysis over a sweep or an existing table")
     rp = sub.add_parser("report", help="consolidate result directories into one JSON report")
-    rp.add_argument("--config", default=None, help="accepted for uniformity; unused")
     rp.add_argument("--dir", required=True, help="directory of experiment results")
     rp.add_argument("--out", required=True, help="output directory")
     return ap

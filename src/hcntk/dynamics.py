@@ -10,9 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateKernel, ShapeError, StepSizeError
-from .linalg import SpectrumReport, SymMatrix, eig_sym
-
-FROZEN_MODE_CUT = 1e-12  # relative to lambda_max; below this a mode is frozen
+from .linalg import FROZEN_MODE_CUT, SpectrumReport, SymMatrix, eig_sym
 
 
 @dataclass
@@ -66,8 +64,8 @@ def analytic_loss(dec: ModalDecomposition, t) -> float:
     return float(np.sum(dec.coeffs**2 * np.exp(-rates * t)) / dec.n_r)
 
 
-def integrate_frozen(kr: SymMatrix, r0, eta, n_r, t_end, dt, method="rk4"):
-    """Numeric trajectory of the frozen-kernel linear ODE.
+def integrate_frozen(kr: SymMatrix, r0, eta, n_r, t_end, dt):
+    """Numeric trajectory of the frozen-kernel linear ODE (classical RK4).
 
     Returns (times, residuals) with residuals[k] = R(times[k]), including
     t = 0. Sustained norm growth (10 consecutive increasing steps) under
@@ -91,16 +89,11 @@ def integrate_frozen(kr: SymMatrix, r0, eta, n_r, t_end, dt, method="rk4"):
     growth_streak = 0
     prev_norm = float(np.linalg.norm(r))
     for k in range(1, n_steps + 1):
-        if method == "rk4":
-            k1 = f(r)
-            k2 = f(r + 0.5 * dt * k1)
-            k3 = f(r + 0.5 * dt * k2)
-            k4 = f(r + dt * k3)
-            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        elif method == "euler":
-            r = r + dt * f(r)
-        else:
-            raise ValueError(f"unknown method '{method}'")
+        k1 = f(r)
+        k2 = f(r + 0.5 * dt * k1)
+        k3 = f(r + 0.5 * dt * k2)
+        k4 = f(r + dt * k3)
+        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norm = float(np.linalg.norm(r))
         growth_streak = growth_streak + 1 if norm > prev_norm else 0
         if growth_streak >= 10:
@@ -131,10 +124,9 @@ def predict(dec: ModalDecomposition) -> ConvergencePrediction:
         raise DegenerateKernel("all-zero spectrum")
     frozen = lam < FROZEN_MODE_CUT * lam_max
     rates = (2.0 * dec.eta / dec.n_r) * np.where(frozen, 0.0, lam)
-    retained = lam[~frozen]
-    convergent = retained.size > 0 and retained[-1] > 0.0
+    lam_min = dec.spectrum.lambda_min_retained
+    convergent = lam_min > 0.0
     if convergent:
-        lam_min = float(retained[-1])
         t_conv = dec.n_r / (2.0 * dec.eta * lam_min)
         loss_rate = 4.0 * dec.eta * lam_min / dec.n_r
     else:

@@ -7,7 +7,6 @@ lives in the summary JSON.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     SingularCoefficient,
     UndefinedCorrelation,
 )
-from .linalg import SymMatrix, cka, eig_sym, ensemble_stats, spearman
+from .linalg import SymMatrix, cka, eig_sym, ensemble_stats, pairwise_cka, spearman
 
 SPECTRUM_COLS = ("kappa", "eff_rank", "trace", "frob", "lambda_max", "lambda_min",
                  "lambda_min_retained", "numerical_rank")
@@ -36,13 +35,6 @@ class ExperimentResult:
     metrics: dict
     n_failures: int = 0
     extra_files: list = field(default_factory=list)
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("HCNTK_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _verbose():
@@ -67,9 +59,6 @@ def _seeds(cfg):
 
 
 def _spectrum_entries(rep):
-    lam = rep.eigenvalues
-    retained = lam[lam >= dynamics.FROZEN_MODE_CUT * max(rep.lambda_max, 0.0)]
-    lam_ret = float(retained[-1]) if retained.size else float("nan")
     return {
         "kappa": rep.kappa,
         "eff_rank": rep.eff_rank,
@@ -77,7 +66,7 @@ def _spectrum_entries(rep):
         "frob": rep.frob,
         "lambda_max": rep.lambda_max,
         "lambda_min": rep.lambda_min,
-        "lambda_min_retained": lam_ret,
+        "lambda_min_retained": rep.lambda_min_retained,
         "numerical_rank": rep.numerical_rank,
     }
 
@@ -127,28 +116,8 @@ def _safe_spearman(xs, ys):
 # K_n invariance studies
 
 
-def _kn_task(payload):
-    sizes, activation, seed, points = payload
-    params = net.init_kaiming_uniform(sizes, activation, seed)
-    kn = kernels.assemble_kn(params, points)
-    return kn.a
-
-
 def _kn_matrices(sizes, activation, seeds, points):
-    payloads = [(sizes, activation, s, points) for s in seeds]
-    workers = _workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [SymMatrix(a) for a in pool.map(_kn_task, payloads)]
-    return [SymMatrix(_kn_task(p)) for p in payloads]
-
-
-def _pairwise_cka(mats):
-    vals = []
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            vals.append(cka(mats[i], mats[j]))
-    return np.asarray(vals)
+    return [kernels.assemble_kn(net.init_kaiming_uniform(sizes, activation, s), points) for s in seeds]
 
 
 def _kn_group_rows(cfg, out_dir, sweep_name, sweep_values, sizes_for):
@@ -170,7 +139,7 @@ def _kn_group_rows(cfg, out_dir, sweep_name, sweep_values, sizes_for):
             row.update(_spectrum_entries(rep))
             rows.append(row)
         stats = ensemble_stats(mats)
-        ckas = _pairwise_cka(mats) if len(mats) > 1 else np.array([1.0])
+        ckas = pairwise_cka(mats) if len(mats) > 1 else np.array([1.0])
         mean_mats[value] = SymMatrix(stats.mean)
         group_stats[value] = {
             "cv_mean": stats.cv_mean,

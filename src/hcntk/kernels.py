@@ -45,7 +45,6 @@ class KernelBundle:
     kt: SymMatrix
     kr: SymMatrix
     points: np.ndarray
-    provenance: str  # construction path tag
 
 
 def _symmetrize(k):
@@ -180,13 +179,12 @@ def assemble_kr(params, problem, pair, points, path="direct"):
     raise ValueError(f"unknown path '{path}'")
 
 
-def assemble_bundle(params, pair, problem, points, path="direct"):
-    """All three kernels over one collocation set."""
+def assemble_bundle(params, pair, problem, points):
+    """All three kernels over one collocation set (K_t and K_r by the direct path)."""
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     return KernelBundle(
         kn=assemble_kn(params, x),
-        kt=assemble_kt(params, pair, x, path="composed" if path == "composed" else "direct"),
-        kr=assemble_kr(params, problem, pair, x, path=path),
+        kt=assemble_kt(params, pair, x, path="direct"),
+        kr=assemble_kr(params, problem, pair, x, path="direct"),
         points=x,
-        provenance=path,
     )

@@ -14,6 +14,7 @@ from .errors import (
 
 KAPPA_FLOOR = 1e-300
 NUMERICAL_RANK_CUT = 1e-12
+FROZEN_MODE_CUT = 1e-12  # relative to lambda_max; below this a mode is frozen
 
 
 class SymMatrix:
@@ -62,6 +63,7 @@ class SpectrumReport:
     frob: float
     lambda_max: float
     lambda_min: float
+    lambda_min_retained: float  # smallest eigenvalue that is not frozen; nan if none
     numerical_rank: int
     sweeps: int  # always 0: LAPACK reports no iteration count (the traced benchmark sums it)
 
@@ -84,7 +86,9 @@ def eig_sym(m: SymMatrix) -> SpectrumReport:
     The condition number uses the raw smallest eigenvalue, floored at
     ``KAPPA_FLOOR`` only to guard exact zeros; no rank truncation is applied.
     A separate numerical rank (eigenvalues above ``1e-12 * lambda_max``) is
-    reported alongside. Raises ``EigFailure`` when LAPACK does not converge.
+    reported alongside, and so is the smallest retained eigenvalue (the
+    smallest one >= ``FROZEN_MODE_CUT * max(lambda_max, 0)``). Raises
+    ``EigFailure`` when LAPACK does not converge.
     """
     a = m.a
     if not np.all(np.isfinite(a)):
@@ -104,6 +108,7 @@ def eig_sym(m: SymMatrix) -> SpectrumReport:
     kappa = lam_max / max(lam_min, KAPPA_FLOOR)
     eff_rank = trace * trace / (frob * frob) if frob > 0.0 else float("nan")
     num_rank = int(np.sum(vals > NUMERICAL_RANK_CUT * max(lam_max, 0.0))) if lam_max > 0 else 0
+    retained = vals[vals >= FROZEN_MODE_CUT * max(lam_max, 0.0)]
     return SpectrumReport(
         eigenvalues=vals,
         eigenvectors=vecs,
@@ -113,6 +118,7 @@ def eig_sym(m: SymMatrix) -> SpectrumReport:
         frob=frob,
         lambda_max=lam_max,
         lambda_min=lam_min,
+        lambda_min_retained=float(retained[-1]) if retained.size else float("nan"),
         numerical_rank=num_rank,
         sweeps=0,
     )
@@ -124,18 +130,34 @@ def _centered(a: np.ndarray) -> np.ndarray:
     col_mean = a.mean(axis=1, keepdims=True)
     return a - row_mean - col_mean + a.mean()
 
+
+def pairwise_cka(matrices) -> np.ndarray:
+    """Centered kernel alignment of every pair (i, j), i < j, in row-major order.
+
+    Each matrix is centered once and flattened into one row of C; the Gram
+    C C^T then holds every centered inner product, so M matrices of size
+    n cost one M x n^2 buffer and one matrix product instead of M (M - 1)
+    centerings.
+    """
+    mats = list(matrices)
+    n = mats[0].n if mats else 0
+    for m in mats:
+        if m.n != n:
+            raise ShapeError(f"dimension mismatch: {n} vs {m.n}")
+    c = np.empty((len(mats), n * n))
+    for row, m in zip(c, mats):
+        row[:] = _centered(m.a).ravel()
+    gram = c @ c.T
+    norms = np.diagonal(gram)
+    if np.any(norms <= 0.0):
+        raise DegenerateKernel("zero centered norm (constant kernel matrix)")
+    i, j = np.triu_indices(len(mats), 1)
+    return gram[i, j] / np.sqrt(norms[i] * norms[j])
+
+
 def cka(a: SymMatrix, b: SymMatrix) -> float:
     """Centered kernel alignment between two kernel matrices (in [0, 1])."""
-    if a.n != b.n:
-        raise ShapeError(f"dimension mismatch: {a.n} vs {b.n}")
-    ac = _centered(a.a)
-    bc = _centered(b.a)
-    saa = float(np.sum(ac * ac))
-    sbb = float(np.sum(bc * bc))
-    if saa <= 0.0 or sbb <= 0.0:
-        raise DegenerateKernel("zero centered norm (constant kernel matrix)")
-    sab = float(np.sum(ac * bc))
-    return sab / np.sqrt(saa * sbb)
+    return float(pairwise_cka((a, b))[0])
 
 
 def ensemble_stats(matrices) -> EnsembleStats:

@@ -156,18 +156,6 @@ class NetworkParams:
         return ACTIVATIONS[self.activation]
 
 
-@dataclass
-class PointEval:
-    """Network value/gradient/Laplacian at one point, with parameter Jacobians."""
-
-    value: float
-    grad: np.ndarray  # (d,)
-    lap: float | None
-    jac_value: np.ndarray  # (P,)
-    jac_grad: np.ndarray  # (d, P)
-    jac_lap: np.ndarray | None  # (P,)
-
-
 def init_kaiming_uniform(layer_sizes, activation, seed):
     """Kaiming-uniform initialization with one counter-based stream per layer.
 
@@ -364,59 +352,44 @@ def _reverse_layers(params, st, zbar, ubar, tbar):
             zbar, ubar, tbar = _pull_through_activation(st, l - 1, abar, gbar, qbar)
 
 
-def jacobian_blocks(params, st, chunk_elems=8_000_000):
-    """Yield per-point Jacobian blocks of all outputs, layer by layer.
-
-    Yields ``(kind, layer, p0, p1, block)`` tuples where ``block`` has shape
-    (n_outputs, N, n_block_params); kind is 'w' (weight rows [p0, p1)) or
-    'b' (all biases of the layer). Outputs are stacked in the order
-    [value, grad_0..grad_{d-1}, lap], restricted to the state's order.
-    Blocks are chunked so no intermediate exceeds roughly ``chunk_elems``
-    float64 elements. These materialized blocks feed ``param_jacobians``
-    only (the oracle of the tests); kernel assembly goes through
-    ``factored_grams``, which never forms them.
-    """
-    n, d = st.x.shape
-    seeds = [s[..., None] if s is not None else None for s in output_seeds(n, d, st.order)]
-    n_out = seeds[0].shape[0]
-    for l, zbar, ubar, tbar in _reverse_layers(params, st, *seeds):
-        a_prev, g_prev, q_prev = st.a[l - 1], st.g[l - 1], st.q[l - 1]
-        n_l, n_prev = params.weights[l - 1].shape
-        rows_per_chunk = max(1, int(chunk_elems // max(1, n_out * n * n_prev)))
-        for p0 in range(0, n_l, rows_per_chunk):
-            p1 = min(n_l, p0 + rows_per_chunk)
-            blk = np.einsum("onp,nq->onpq", zbar[:, :, p0:p1], a_prev)
-            if ubar is not None:
-                blk += np.einsum("onmp,nmq->onpq", ubar[:, :, :, p0:p1], g_prev)
-            if tbar is not None:
-                blk += np.einsum("onp,nq->onpq", tbar[:, :, p0:p1], q_prev)
-            yield "w", l, p0, p1, blk.reshape(n_out, n, -1)
-        yield "b", l, 0, n_l, zbar.copy()
-
-
 def param_jacobians(params, points, order=2):
-    """Stacked flat parameter Jacobians J_value (N,P), J_grad (N,d,P), J_lap (N,P)."""
+    """Stacked flat parameter Jacobians J_value (N,P), J_grad (N,d,P), J_lap (N,P).
+
+    The materialized oracle of the tests; kernel assembly goes through
+    ``factored_grams``, which never forms them. Layer l's weight block of
+    one output at point i is L_i^T R_i, with L_i the (K, n_l) reverse-pass
+    adjoints and R_i the (K, n_{l-1}) forward carriers (a, g_m, q), so one
+    batched product per output writes it straight into a view of the
+    result: no temporary is larger than one layer's slice of one output.
+    """
     st = forward(params, points, order=order)
-    n = st.x.shape[0]
-    d = st.x.shape[1]
+    n, d = st.x.shape
     p_total = params.param_count()
-    slices = params.flat_slices()
     j_value = np.zeros((n, p_total))
     j_grad = np.zeros((n, d, p_total)) if order >= 1 else None
     j_lap = np.zeros((n, p_total)) if order >= 2 else None
-    for kind, l, p0, p1, blk in jacobian_blocks(params, st):
+    outs = [j_value]  # in the order of the output seeds
+    if order >= 1:
+        outs += [j_grad[:, m] for m in range(d)]
+    if order >= 2:
+        outs.append(j_lap)
+    seeds = [s[..., None] if s is not None else None for s in output_seeds(n, d, order)]
+    slices = params.flat_slices()
+    for l, zbar, ubar, tbar in _reverse_layers(params, st, *seeds):
         ws, bs = slices[l - 1]
-        n_prev = params.layer_sizes[l - 1]
-        if kind == "w":
-            dest = slice(ws.start + p0 * n_prev, ws.start + p1 * n_prev)
-        else:
-            dest = bs
-        j_value[:, dest] = blk[0]
-        if order >= 1:
-            for m in range(d):
-                j_grad[:, m, dest] = blk[1 + m]
-        if order >= 2:
-            j_lap[:, dest] = blk[1 + d]
+        n_l, n_prev = params.weights[l - 1].shape
+        lefts, rights = [zbar[:, :, None, :]], [st.a[l - 1][:, None, :]]
+        if ubar is not None:
+            lefts.append(ubar)
+            rights.append(st.g[l - 1])
+        if tbar is not None:
+            lefts.append(tbar[:, :, None, :])
+            rights.append(st.q[l - 1][:, None, :])
+        left = np.concatenate(lefts, axis=2)  # (n_out, N, K, n_l)
+        right = np.concatenate(rights, axis=1)  # (N, K, n_prev)
+        for out, left_o, zbar_o in zip(outs, left, zbar):
+            np.matmul(left_o.transpose(0, 2, 1), right, out=out[:, ws].reshape(n, n_l, n_prev))
+            out[:, bs] = zbar_o
     return j_value, j_grad, j_lap
 
 
@@ -544,23 +517,3 @@ def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):
         grad_flat[ws] = wbar.ravel()
         grad_flat[bs] = zbar.sum(axis=0)
     return grad_flat
-
-
-def eval_with_derivatives(params, point, order=2):
-    """Evaluate N, its input derivatives, and all parameter Jacobians at one point."""
-    x = np.asarray(point, dtype=np.float64).reshape(1, -1)
-    st = forward(params, x, order=order)
-    j_value, j_grad, j_lap = param_jacobians(params, x, order=order)
-    return PointEval(
-        value=float(st.value[0]),
-        grad=st.grad[0].copy() if order >= 1 else np.zeros(0),
-        lap=float(st.lap[0]) if order >= 2 else None,
-        jac_value=j_value[0],
-        jac_grad=j_grad[0] if order >= 1 else np.zeros((0, 0)),
-        jac_lap=j_lap[0] if order >= 2 else None,
-    )
-
-
-def batch_eval(params, points, order=2):
-    """Pointwise ``eval_with_derivatives`` over a list of points, order preserved."""
-    return [eval_with_derivatives(params, p, order=order) for p in points]

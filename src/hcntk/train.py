@@ -117,12 +117,6 @@ def make_closure(params_template, pair, problem, points):
     return fg
 
 
-def loss_and_grad(trial, problem, points):
-    """Mean squared residual and its exact parameter gradient."""
-    fg = make_closure(trial.params, trial.pair, problem, points)
-    return fg(trial.params.flatten())
-
-
 def l2_error(trial, problem, test_grid, chunk=20000):
     """Relative L2 error of the trial function against the exact solution.
 
@@ -154,15 +148,11 @@ def test_grid_for(problem, total_points):
 
 
 def _snapshot(epoch, theta, template, pair, problem, points, keep_matrices):
-    from .dynamics import FROZEN_MODE_CUT
-
     p = template.unflatten(theta)
-    bundle = kernels.assemble_bundle(p, pair, problem, points, path="direct")
+    bundle = kernels.assemble_bundle(p, pair, problem, points)
     entry = {"epoch": int(epoch)}
     for name, mat in (("kn", bundle.kn), ("kt", bundle.kt), ("kr", bundle.kr)):
         rep = eig_sym(mat)
-        lam = rep.eigenvalues
-        retained = lam[lam >= FROZEN_MODE_CUT * max(rep.lambda_max, 0.0)]
         entry[name] = {
             "kappa": rep.kappa,
             "eff_rank": rep.eff_rank,
@@ -170,7 +160,7 @@ def _snapshot(epoch, theta, template, pair, problem, points, keep_matrices):
             "frob": rep.frob,
             "lambda_max": rep.lambda_max,
             "lambda_min": rep.lambda_min,
-            "lambda_min_retained": float(retained[-1]) if retained.size else float("nan"),
+            "lambda_min_retained": rep.lambda_min_retained,
         }
     if keep_matrices:
         entry["bundle"] = bundle

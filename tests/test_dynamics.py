@@ -106,7 +106,7 @@ class TestIntegrateFrozen:
         k = SymMatrix(np.diag([100.0, 1.0]))
         with pytest.raises(StepSizeError):
             dynamics.integrate_frozen(k, np.array([1.0, 1.0]), eta=1.0, n_r=1,
-                                      t_end=10.0, dt=0.5, method="euler")
+                                      t_end=10.0, dt=0.5)
 
 
 class TestPredict:

@@ -50,19 +50,6 @@ class TestInvarianceRunners:
         assert "cv_mean_smooth" in res.metrics and "cv_mean_nonsmooth" in res.metrics
         assert "cross_group_cka_max" in res.metrics
 
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        cfg = {
-            "schema_version": 1,
-            "kind": "kn-invariance-seed",
-            "seeds": [0, 1, 2],
-            "network": base_net(),
-            "grid": {"n_per_axis": 8, "mode": "inclusive"},
-        }
-        serial = experiments.run_kn_invariance_seed(cfg, str(tmp_path / "s"))
-        monkeypatch.setenv("HCNTK_WORKERS", "2")
-        pooled = experiments.run_kn_invariance_seed(cfg, str(tmp_path / "p"))
-        assert [r["trace"] for r in serial.rows] == [r["trace"] for r in pooled.rows]
-
     def test_persist_ensemble_files(self, tmp_path):
         cfg = {
             "schema_version": 1,

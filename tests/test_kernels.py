@@ -31,8 +31,8 @@ class TestAssembleKn:
         p = make_params()
         x = np.array([[0.37]])
         kn = kernels.assemble_kn(p, x)
-        ev = net.eval_with_derivatives(p, [0.37])
-        assert kn.a[0, 0] == pytest.approx(float(ev.jac_value @ ev.jac_value), rel=1e-12)
+        j_value, _, _ = net.param_jacobians(p, x, order=0)
+        assert kn.a[0, 0] == pytest.approx(float(j_value[0] @ j_value[0]), rel=1e-12)
 
     def test_matches_explicit_jacobian_gram(self, pts):
         p = make_params(3)
@@ -152,7 +152,7 @@ class TestAssembleKr:
 
     def test_psd_all_three(self, poisson, quad_pair, pts):
         p = make_params(5)
-        bundle = kernels.assemble_bundle(p, quad_pair, poisson, pts, path="direct")
+        bundle = kernels.assemble_bundle(p, quad_pair, poisson, pts)
         for mat in (bundle.kn, bundle.kt, bundle.kr):
             rep = eig_sym(mat)
             assert rep.lambda_min >= -1e-8 * rep.lambda_max
@@ -257,9 +257,8 @@ def test_bundle_contains_all_three(self=None):
     pair = boundary.make_pair("power", {"alpha": 1.0})
     grid = boundary.trim_boundary(boundary.grid(1, 14, include_boundary=True))
     p = make_params(1, sizes=(1, 12, 1))
-    bundle = kernels.assemble_bundle(p, pair, prob, grid, path="direct")
+    bundle = kernels.assemble_bundle(p, pair, prob, grid)
     assert bundle.kn.n == bundle.kt.n == bundle.kr.n == len(grid)
-    assert bundle.provenance == "direct"
 
 
 ORACLE_CASES = [
@@ -352,15 +351,15 @@ class TestFactoredGramsMatchJacobianGrams:
             net.factored_grams(p, st, np.ones((1, n)), np.ones((1, n, 1)))
 
 
-def test_kernel_assembly_never_materializes_jacobian_blocks(monkeypatch, poisson, quad_pair, pts):
+def test_kernel_assembly_never_materializes_jacobians(monkeypatch, poisson, quad_pair, pts):
     def forbidden(*args, **kwargs):
-        raise AssertionError("kernel assembly called net.jacobian_blocks")
+        raise AssertionError("kernel assembly called net.param_jacobians")
 
-    monkeypatch.setattr(net, "jacobian_blocks", forbidden)
+    monkeypatch.setattr(net, "param_jacobians", forbidden)
     p = make_params(4)
     kernels.assemble_kn(p, pts)
     for path in ("direct", "composed"):
         kernels.assemble_kt(p, quad_pair, pts, path=path)
         kernels.assemble_kr(p, poisson, quad_pair, pts, path=path)
     kernels.component_kernels(p, pts)
-    kernels.assemble_bundle(p, quad_pair, poisson, pts, path="direct")
+    kernels.assemble_bundle(p, quad_pair, poisson, pts)

@@ -15,6 +15,7 @@ from hcntk.linalg import (
     cka,
     eig_sym,
     ensemble_stats,
+    pairwise_cka,
     spearman,
 )
 
@@ -168,6 +169,36 @@ class TestCka:
         const = SymMatrix(np.full((5, 5), 2.0))
         with pytest.raises(DegenerateKernel):
             cka(const, SymMatrix(np.eye(5)))
+
+
+def _cka_reference(a, b):
+    # The textbook formula with the centering matrix H = I - (1/n) 1 1^T formed explicitly.
+    h = np.eye(len(a)) - 1.0 / len(a)
+    ac, bc = h @ a @ h, h @ b @ h
+    return np.sum(ac * bc) / np.sqrt(np.sum(ac * ac) * np.sum(bc * bc))
+
+
+class TestPairwiseCka:
+    def test_matches_pair_loop_in_upper_triangle_order(self, rng):
+        base = [random_psd(rng, 9) for _ in range(8)]
+        arrays = base + [3.0 * base[0], 0.2 * base[1], 1e4 * base[2], base[3]]
+        got = pairwise_cka([SymMatrix(a) for a in arrays])
+        pairs = [(i, j) for i in range(len(arrays)) for j in range(i + 1, len(arrays))]
+        ref = [_cka_reference(arrays[i], arrays[j]) for i, j in pairs]
+        assert got.shape == (len(pairs),)
+        assert np.abs(got - ref).max() <= 1e-14
+        for orig in range(4):  # the scaled copies 8..11 of kernels 0..3
+            assert got[pairs.index((orig, 8 + orig))] == pytest.approx(1.0, abs=1e-14)
+
+    def test_constant_kernel_degenerate(self, rng):
+        mats = [SymMatrix(random_psd(rng, 5)) for _ in range(3)]
+        mats.insert(1, SymMatrix(np.full((5, 5), 2.0)))
+        with pytest.raises(DegenerateKernel):
+            pairwise_cka(mats)
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(ShapeError):
+            pairwise_cka([SymMatrix(random_psd(rng, 4)), SymMatrix(np.eye(4)), SymMatrix(np.eye(5))])
 
 
 class TestEnsembleStats:

@@ -76,29 +76,30 @@ class TestForward:
     def test_zero_network(self):
         p = net.init_kaiming_uniform((1, 8, 8, 1), "tanh", 0)
         p = p.unflatten(np.zeros(p.param_count()))
-        ev = net.eval_with_derivatives(p, [0.3])
-        assert ev.value == 0.0
-        assert np.all(ev.grad == 0.0)
-        assert ev.lap == 0.0
+        st = net.forward(p, [[0.3]])
+        assert st.value[0] == 0.0
+        assert np.all(st.grad[0] == 0.0)
+        assert st.lap[0] == 0.0
 
     def test_single_linear_layer(self):
         # N = w x + b: grad = w, lap = 0, dN/dw = x
         p = net.init_kaiming_uniform((2, 1), "tanh", 0)
         w = p.weights[0][0]
         x = np.array([0.3, 0.7])
-        ev = net.eval_with_derivatives(p, x)
-        assert ev.value == pytest.approx(float(w @ x + p.biases[0][0]))
-        assert np.allclose(ev.grad, w)
-        assert ev.lap == pytest.approx(0.0)
-        assert np.allclose(ev.jac_value[:2], x)
-        assert ev.jac_value[2] == pytest.approx(1.0)  # output bias
+        st = net.forward(p, x[None])
+        j_value, _, _ = net.param_jacobians(p, x[None])
+        assert st.value[0] == pytest.approx(float(w @ x + p.biases[0][0]))
+        assert np.allclose(st.grad[0], w)
+        assert st.lap[0] == pytest.approx(0.0)
+        assert np.allclose(j_value[0, :2], x)
+        assert j_value[0, 2] == pytest.approx(1.0)  # output bias
 
     def test_relu_value_grad_only(self):
         p = net.init_kaiming_uniform((1, 8, 1), "relu", 1)
-        ev = net.eval_with_derivatives(p, [0.4], order=1)
-        assert np.isfinite(ev.value)
+        st = net.forward(p, [[0.4]], order=1)
+        assert np.isfinite(st.value[0])
         with pytest.raises(UnsupportedActivation):
-            net.eval_with_derivatives(p, [0.4], order=2)
+            net.param_jacobians(p, [[0.4]], order=2)
         with pytest.raises(UnsupportedActivation):
             net.forward(p, [[0.4]], order=2)
 
@@ -119,15 +120,17 @@ class TestForward:
             rhs = net.forward(p, [[1.0 - x]], order=0).value[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_batch_eval_matches_pointwise(self):
+    def test_batch_matches_pointwise(self):
         p = net.init_kaiming_uniform((2, 6, 1), "sigmoid", 2)
-        pts = [[0.1, 0.2], [0.5, 0.9]]
-        batch = net.batch_eval(p, pts)
-        for pt, ev in zip(pts, batch):
-            single = net.eval_with_derivatives(p, pt)
-            assert ev.value == single.value
-            assert np.array_equal(ev.jac_lap, single.jac_lap)
-        assert net.batch_eval(p, []) == []
+        pts = np.array([[0.1, 0.2], [0.5, 0.9]])
+        st = net.forward(p, pts)
+        jacs = net.param_jacobians(p, pts)
+        for i in range(len(pts)):
+            single = net.forward(p, pts[i : i + 1])
+            single_jacs = net.param_jacobians(p, pts[i : i + 1])
+            for got, ref in [(st.value, single.value), (st.grad, single.grad), (st.lap, single.lap),
+                             *zip(jacs, single_jacs)]:
+                assert np.abs(got[i] - ref[0]).max() <= 1e-14 * np.abs(ref[0]).max()
 
     def test_dimension_check(self):
         p = net.init_kaiming_uniform((2, 4, 1), "tanh", 0)

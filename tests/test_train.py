@@ -38,7 +38,7 @@ class TestLossAndGrad:
         pts = boundary.trim_boundary(boundary.grid(1, 20, include_boundary=True))
         p = net.init_kaiming_uniform((1, 8, 1), "tanh", 0)
         p = p.unflatten(np.zeros(p.param_count()))
-        loss, _ = train.loss_and_grad(kernels.TrialFunction(quad_pair, p), poisson, pts)
+        loss, _ = train.make_closure(p, quad_pair, poisson, pts)(p.flatten())
         f = poisson.source(pts)
         assert loss == pytest.approx(float(f @ f) / len(pts), rel=1e-12)
 

@@ -191,6 +191,21 @@ def run_kn_invariance_width(cfg, out_dir):
     return ExperimentResult("kn-invariance-width", rows, cols, metrics, extra_files=extra)
 
 
+EFF_RANK_STEP_SLACK = 1e-2
+
+
+def eff_rank_decreasing(effs):
+    """Whether per-depth mean effective ranks fall with depth, up to seed noise.
+
+    The ranks must drop from the first depth to the last, and no step
+    between adjacent depths may rise by more than ``EFF_RANK_STEP_SLACK``:
+    at 10 seeds adjacent depths differ by ~2e-3 against an overall drop of
+    ~0.09, so a strict per-step comparison would test the seed noise, not
+    the depth.
+    """
+    return all(a >= b - EFF_RANK_STEP_SLACK for a, b in zip(effs, effs[1:])) and effs[0] > effs[-1]
+
+
 def run_kn_invariance_depth(cfg, out_dir):
     depths = [int(d) for d in cfg["depths"]]
     rows, means, stats, extra = _kn_group_rows(
@@ -206,7 +221,7 @@ def run_kn_invariance_depth(cfg, out_dir):
         traces.append(tr)
         effs.append(ef)
     metrics["trace_strictly_decreasing"] = float(all(a > b for a, b in zip(traces, traces[1:])))
-    metrics["eff_rank_decreasing"] = float(all(a >= b for a, b in zip(effs, effs[1:])))
+    metrics["eff_rank_decreasing"] = float(eff_rank_decreasing(effs))
     metrics["trace_ratio_first_last"] = traces[0] / traces[-1] if traces[-1] else float("inf")
     metrics["cka_meanmat_min_max_depth"] = cka(means[depths[0]], means[depths[-1]])
     cols = ["depth", "seed", "status", *SPECTRUM_COLS]

@@ -23,60 +23,100 @@ _SELU_ALPHA = 1.6732632423543772
 class Activation:
     """Elementwise activation with derivatives up to third order.
 
-    ``eval_derivs(z, order)`` returns (a, s1, s2, s3); entries above the
-    requested order (and above ``max_order``) are None. Derivatives are
-    expressed through the activation value where possible so each is a
-    cheap elementwise expression.
+    ``eval_derivs(z, order, out=None)`` returns (a, s1, s2, s3); entries
+    above the requested order (and above ``max_order``) are None. The
+    entries are written into the ``n_arrays(order)`` arrays of ``out``
+    (fresh arrays like ``z`` when it is None). Derivatives are expressed
+    through the activation value where possible so each is a cheap
+    elementwise expression; the in-place steps keep the operand order of
+    the plain expressions, so both give the same bits.
     """
 
-    def __init__(self, name, eval_derivs, max_order):
+    def __init__(self, name, derivs, max_order, s3_is_s2=False):
         self.name = name
-        self.eval_derivs = eval_derivs
+        self._derivs = derivs
         self.max_order = max_order  # highest usable input-derivative order
+        self._s3_is_s2 = s3_is_s2  # piecewise-exponential: s3 equals s2 and is returned as it
 
     @property
     def smooth(self):
         return self.max_order >= 2
 
+    def n_arrays(self, order):
+        """Number of arrays ``eval_derivs`` writes at ``order``: a, s1, then s2 and s3."""
+        if order < 2:
+            return 2
+        return 3 if self._s3_is_s2 else 4
 
-def _tanh_derivs(z, order):
-    a = np.tanh(z)
-    s1 = 1.0 - a * a
-    s2 = s3 = None
+    def eval_derivs(self, z, order, out=None):
+        if out is None:
+            out = [np.empty_like(z) for _ in range(self.n_arrays(order))]
+        return self._derivs(z, order, *out, *[None] * (4 - len(out)))
+
+
+def _tanh_derivs(z, order, a, s1, s2, s3):
+    np.tanh(z, out=a)
+    np.multiply(a, a, out=s1)
+    np.subtract(1.0, s1, out=s1)  # 1 - a*a
     if order >= 2:
-        s2 = -2.0 * a * s1
-        s3 = -2.0 * s1 * (1.0 - 3.0 * a * a)
+        np.multiply(a, -2.0, out=s2)
+        s2 *= s1  # -2a * s1
+        np.multiply(a, 3.0, out=s3)
+        s3 *= a
+        np.subtract(1.0, s3, out=s3)
+        s3 *= s1
+        s3 *= -2.0  # -2 s1 (1 - 3a*a); scaling by -2 is exact
     return a, s1, s2, s3
 
 
-def _sigmoid_derivs(z, order):
-    a = 1.0 / (1.0 + np.exp(-z))
-    s1 = a * (1.0 - a)
-    s2 = s3 = None
+def _sigmoid_derivs(z, order, a, s1, s2, s3):
+    np.negative(z, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)  # 1 / (1 + exp(-z))
+    if order >= 2:  # s1 and s2 serve as scratch for s3 = 1 - 6a + 6a*a first
+        np.multiply(a, 6.0, out=s2)
+        np.subtract(1.0, s2, out=s3)
+        s2 *= a
+        s3 += s2
+    np.subtract(1.0, a, out=s1)
+    s1 *= a  # a (1 - a)
     if order >= 2:
-        s2 = s1 * (1.0 - 2.0 * a)
-        s3 = s1 * (1.0 - 6.0 * a + 6.0 * a * a)
+        np.multiply(a, 2.0, out=s2)
+        np.subtract(1.0, s2, out=s2)
+        s2 *= s1  # s1 (1 - 2a)
+        s3 *= s1
     return a, s1, s2, s3
 
 
-def _relu_derivs(z, order):
-    return np.maximum(z, 0.0), (z > 0.0).astype(np.float64), None, None
+def _relu_derivs(z, order, a, s1, *_):
+    np.maximum(z, 0.0, out=a)
+    np.greater(z, 0.0, out=s1)
+    return a, s1, None, None
 
 
-def _leaky_relu_derivs(z, order):
-    return np.where(z > 0.0, z, 0.01 * z), np.where(z > 0.0, 1.0, 0.01), None, None
-
-
-def _elu_derivs(z, order, lam=1.0, alpha=1.0):
+def _leaky_relu_derivs(z, order, a, s1, *_):
     pos = z > 0.0
-    a = np.where(pos, lam * z, lam * alpha * np.expm1(z))
-    neg_slope = a + lam * alpha  # equals lam*alpha*exp(z) on the negative branch
-    s1 = np.where(pos, lam, neg_slope)
-    s2 = s3 = None
+    np.multiply(z, 0.01, out=a)
+    np.copyto(a, z, where=pos)
+    s1.fill(0.01)
+    np.copyto(s1, 1.0, where=pos)
+    return a, s1, None, None
+
+
+def _elu_derivs(z, order, a, s1, s2, _, lam=1.0, alpha=1.0):
+    pos = z > 0.0
+    np.expm1(z, out=a)
+    a *= lam * alpha
+    np.multiply(z, lam, out=a, where=pos)
+    # a + lam*alpha equals lam*alpha*exp(z) on the negative branch
+    np.add(a, lam * alpha, out=s1)
+    np.copyto(s1, lam, where=pos)
     if order >= 2:
-        s2 = np.where(pos, 0.0, neg_slope)
-        s3 = s2
-    return a, s1, s2, s3
+        np.add(a, lam * alpha, out=s2)
+        np.copyto(s2, 0.0, where=pos)
+        return a, s1, s2, s2
+    return a, s1, None, None
 
 
 ACTIVATIONS = {
@@ -84,11 +124,12 @@ ACTIVATIONS = {
     "sigmoid": Activation("sigmoid", _sigmoid_derivs, max_order=2),
     "relu": Activation("relu", _relu_derivs, max_order=1),
     "leaky_relu": Activation("leaky_relu", _leaky_relu_derivs, max_order=1),
-    "elu": Activation("elu", _elu_derivs, max_order=2),
+    "elu": Activation("elu", _elu_derivs, max_order=2, s3_is_s2=True),
     "selu": Activation(
         "selu",
-        lambda z, order: _elu_derivs(z, order, lam=_SELU_LAMBDA, alpha=_SELU_ALPHA),
+        lambda z, order, *out: _elu_derivs(z, order, *out, lam=_SELU_LAMBDA, alpha=_SELU_ALPHA),
         max_order=2,
+        s3_is_s2=True,
     ),
 }
 
@@ -140,16 +181,18 @@ class NetworkParams:
         return np.concatenate(parts)
 
     def unflatten(self, flat):
+        """Parameters of this shape holding a copy of ``flat``."""
+        return self.view(np.array(flat, dtype=np.float64))
+
+    def view(self, flat):
+        """Parameters of this shape whose weights and biases are views of ``flat``."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.param_count():
             raise ConfigError(f"flat vector has {flat.size} entries, expected {self.param_count()}")
         weights, biases = [], []
-        off = 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(flat[off : off + w.size].reshape(w.shape).copy())
-            off += w.size
-            biases.append(flat[off : off + b.size].copy())
-            off += b.size
+        for w, (ws, bs) in zip(self.weights, self.flat_slices()):
+            weights.append(flat[ws].reshape(w.shape))
+            biases.append(flat[bs])
         return NetworkParams(self.layer_sizes, self.activation, weights, biases, self.seed)
 
     def activation_def(self):
@@ -212,15 +255,44 @@ def load_params(path):
     return template.unflatten(flat)
 
 
+def _take(ws, key, shape):
+    """An array of ``shape`` from the workspace dict, or a fresh one without one.
+
+    A workspace maps (key, shape) to the array first allocated for it and
+    hands that same array back on every later request; its contents are
+    whatever the last user left.
+    """
+    if ws is None:
+        return np.empty(shape)
+    arr = ws.get((key, shape))
+    if arr is None:
+        arr = ws[(key, shape)] = np.empty(shape)
+    return arr
+
+
+def _matmul(a, b, out):
+    """``a @ b`` into ``out``.
+
+    An inner dimension of 1 (a 1D input layer, the scalar output layer)
+    makes every entry a single product, which one einsum forms with the
+    same values as the matmul and without its per-matrix call overhead.
+    """
+    if a.shape[-1] == 1:
+        return np.einsum("...i,ij->...j", a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
 class ForwardState:
     """Per-layer values and input derivatives for a batch of points.
 
     ``order`` selects which carriers exist: 0 values only, 1 adds input
     Jacobians (``u`` for the pre-activations, ``g`` for the activations),
-    2 adds input Laplacians (``t`` and ``q``).
+    2 adds input Laplacians (``t`` and ``q``) and ``uu`` = |u|^2 per
+    neuron. ``ws`` is the workspace the carriers live in (None when they
+    were freshly allocated); the reverse passes take their arrays from it.
     """
 
-    __slots__ = ("x", "order", "z", "a", "u", "g", "t", "q", "sp", "spp", "sppp",
+    __slots__ = ("x", "order", "ws", "z", "a", "u", "g", "t", "q", "uu", "sp", "spp", "sppp",
                  "value", "grad", "lap")
 
 
@@ -232,13 +304,15 @@ def _require_order(params, order):
         )
 
 
-def forward(params, points, order=2):
+def forward(params, points, order=2, ws=None):
     """Extended forward pass over a batch of points (shape (N, d)).
 
     At order 2 each neuron carries its input Laplacian, propagated through
     Lap(sigma(z)) = sigma''(z) |grad z|^2 + sigma'(z) Lap(z), so no d x d
     input Hessian is ever formed. Activation derivatives are kept one order
-    above ``order``, as the reverse passes need them.
+    above ``order``, as the reverse passes need them. With a workspace
+    (a dict, see ``_take``) every carrier is written into its arrays, so the state stays valid only
+    until the next pass over the same workspace.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d = params.input_dim
@@ -251,37 +325,48 @@ def forward(params, points, order=2):
     st = ForwardState()
     st.x = x
     st.order = order
-    st.z, st.a = [None], [x]
-    st.u = [None]
-    st.g = [np.broadcast_to(np.eye(d), (n, d, d)) if order >= 1 else None]
-    st.t = [None]
-    st.q = [np.zeros((n, d)) if order >= 2 else None]
+    st.ws = ws
+    st.z, st.a, st.u, st.g, st.t, st.q, st.uu = [None], [x], [None], [None], [None], [None], [None]
+    if order >= 1:
+        st.g[0] = _take(ws, ("g", 0), (n, d, d))
+        st.g[0][...] = np.eye(d)
+    if order >= 2:
+        st.q[0] = _take(ws, ("q", 0), (n, d))
+        st.q[0].fill(0.0)
     st.sp, st.spp, st.sppp = [None], [None], [None]
     n_layers = params.n_layers
     for l in range(1, n_layers + 1):
         w = params.weights[l - 1]
-        b = params.biases[l - 1]
-        z = st.a[l - 1] @ w.T + b
-        u = st.g[l - 1] @ w.T if order >= 1 else None
-        t = st.q[l - 1] @ w.T if order >= 2 else None
+        width = w.shape[0]
+        z = _matmul(st.a[l - 1], w.T, out=_take(ws, ("z", l), (n, width)))
+        z += params.biases[l - 1]
+        u = _matmul(st.g[l - 1], w.T, out=_take(ws, ("u", l), (n, d, width))) if order >= 1 else None
+        t = _matmul(st.q[l - 1], w.T, out=_take(ws, ("t", l), (n, width))) if order >= 2 else None
         st.z.append(z)
         st.u.append(u)
         st.t.append(t)
         if l < n_layers:
-            a, sp, spp, sppp = act.eval_derivs(z, deriv_order)
+            keys = ("a", "sp", "spp", "sppp")[: act.n_arrays(deriv_order)]
+            a, sp, spp, sppp = act.eval_derivs(
+                z, deriv_order, [_take(ws, (key, l), (n, width)) for key in keys]
+            )
             st.a.append(a)
             st.sp.append(sp)
             st.spp.append(spp)
             st.sppp.append(sppp)
-            st.g.append(sp[:, None, :] * u if order >= 1 else None)
-            st.q.append(spp * np.einsum("nmp,nmp->np", u, u) + sp * t if order >= 2 else None)
+            g = uu = q = None
+            if order >= 1:
+                g = np.multiply(sp[:, None, :], u, out=_take(ws, ("g", l), (n, d, width)))
+            if order >= 2:
+                uu = np.einsum("nmp,nmp->np", u, u, out=_take(ws, ("uu", l), (n, width)))
+                q = np.multiply(spp, uu, out=_take(ws, ("q", l), (n, width)))
+                q += np.multiply(sp, t, out=_take(ws, "tmp", (n, width)))
+            st.g.append(g)
+            st.uu.append(uu)
+            st.q.append(q)
         else:
-            st.a.append(None)
-            st.sp.append(None)
-            st.spp.append(None)
-            st.sppp.append(None)
-            st.g.append(None)
-            st.q.append(None)
+            for carriers in (st.a, st.sp, st.spp, st.sppp, st.g, st.uu, st.q):
+                carriers.append(None)
     st.value = st.z[n_layers][:, 0]
     st.grad = st.u[n_layers][:, :, 0] if order >= 1 else None
     st.lap = st.t[n_layers][:, 0] if order >= 2 else None
@@ -314,23 +399,31 @@ def _pull_through_activation(st, j, abar, gbar, qbar):
 
     Reverses a = sigma(z), g = sigma' u, q = sigma'' |u|^2 + sigma' t. The
     adjoints may carry a leading stacked-output axis; gbar/qbar are None
-    when the corresponding carriers are absent.
+    when the corresponding carriers are absent. The results are written
+    over abar, gbar and qbar; scratch comes from the state's workspace.
     """
-    sp = st.sp[j]
-    zbar = abar * sp
+    ws = st.ws
+    sp, spp = st.sp[j], st.spp[j]
+    zbar = abar
+    zbar *= sp
     ubar = tbar = None
+    tmp = _take(ws, "tmp", abar.shape)
     if gbar is not None:
-        spp = st.spp[j]
         u = st.u[j]
         if spp is not None:
-            zbar = zbar + spp * np.einsum("...nmp,nmp->...np", gbar, u)
-        ubar = gbar * sp[:, None, :]
-    if qbar is not None:
-        spp, sppp = st.spp[j], st.sppp[j]
+            zbar += np.multiply(spp, np.einsum("...nmp,nmp->...np", gbar, u, out=tmp), out=tmp)
+        ubar = gbar
+        ubar *= sp[:, None, :]
+    if qbar is not None:  # tmp is free again here, and may be the array "tmp" of t's shape
         u, t = st.u[j], st.t[j]
-        zbar = zbar + qbar * (sppp * np.einsum("nmp,nmp->np", u, u) + spp * t)
-        ubar = ubar + (2.0 * qbar * spp)[..., None, :] * u
-        tbar = qbar * sp
+        s_t = np.multiply(st.sppp[j], st.uu[j], out=_take(ws, "tmp2", t.shape))
+        s_t += np.multiply(spp, t, out=_take(ws, "tmp", t.shape))  # d/dz of q
+        zbar += np.multiply(qbar, s_t, out=tmp)
+        c = np.multiply(qbar, 2.0, out=tmp)
+        c *= spp
+        ubar += np.multiply(c[..., None, :], u, out=_take(ws, "big", ubar.shape))
+        tbar = qbar
+        tbar *= sp
     return zbar, ubar, tbar
 
 
@@ -341,15 +434,22 @@ def _reverse_layers(params, st, zbar, ubar, tbar):
     (..., N, d, 1) and (..., N, 1) with an optional leading stacked-output
     axis; ubar/tbar are None when the state lacks that order. Each step
     reverses z_l = W_l a_{l-1} + b_l and then the activation of layer l-1.
+    Each layer's adjoints live in arrays of their own (from the state's
+    workspace, when it has one).
     """
+    ws = st.ws
     for l in range(params.n_layers, 0, -1):
         yield l, zbar, ubar, tbar
         if l > 1:
             w = params.weights[l - 1]
-            abar = zbar @ w
-            gbar = ubar @ w if ubar is not None else None
-            qbar = tbar @ w if tbar is not None else None
-            zbar, ubar, tbar = _pull_through_activation(st, l - 1, abar, gbar, qbar)
+            k = l - 1
+            abar = _matmul(zbar, w, out=_take(ws, ("zbar", k), zbar.shape[:-1] + w.shape[1:]))
+            gbar = qbar = None
+            if ubar is not None:
+                gbar = _matmul(ubar, w, out=_take(ws, ("ubar", k), ubar.shape[:-1] + w.shape[1:]))
+            if tbar is not None:
+                qbar = _matmul(tbar, w, out=_take(ws, ("tbar", k), tbar.shape[:-1] + w.shape[1:]))
+            zbar, ubar, tbar = _pull_through_activation(st, k, abar, gbar, qbar)
 
 
 def param_jacobians(params, points, order=2):
@@ -490,30 +590,32 @@ def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):
 
     This is the reverse pass used in the training hot loop; the per-layer
     weight gradients are reduced over points immediately, so nothing of
-    size N x P is ever materialized.
+    size N x P is ever materialized. Adjoints and scratch come from the
+    state's workspace; the returned gradient is always a fresh array.
     """
     n, d = st.x.shape
     order = st.order
-    zbar = w_value[:, None].copy() if w_value is not None else np.zeros((n, 1))
+    ws = st.ws
+    top = params.n_layers
+    zbar = _take(ws, ("zbar", top), (n, 1))
+    zbar[:, 0] = w_value if w_value is not None else 0.0
     ubar = tbar = None
     if order >= 1:
-        ubar = np.zeros((n, d, 1))
-        if w_grad is not None:
-            ubar[:, :, 0] = w_grad
+        ubar = _take(ws, ("ubar", top), (n, d, 1))
+        ubar[:, :, 0] = w_grad if w_grad is not None else 0.0
     if order >= 2:
-        tbar = np.zeros((n, 1))
-        if w_lap is not None:
-            tbar[:, 0] = w_lap
+        tbar = _take(ws, ("tbar", top), (n, 1))
+        tbar[:, 0] = w_lap if w_lap is not None else 0.0
     slices = params.flat_slices()
-    grad_flat = np.zeros(params.param_count())
+    grad_flat = np.empty(params.param_count())
     for l, zbar, ubar, tbar in _reverse_layers(params, st, zbar, ubar, tbar):
-        a_prev, g_prev, q_prev = st.a[l - 1], st.g[l - 1], st.q[l - 1]
-        wbar = zbar.T @ a_prev
+        w_slice, b_slice = slices[l - 1]
+        shape = params.weights[l - 1].shape
+        wbar = np.matmul(zbar.T, st.a[l - 1], out=grad_flat[w_slice].reshape(shape))
+        tmp = _take(ws, "wbar", shape)
         if ubar is not None:
-            wbar += ubar.reshape(n * d, -1).T @ np.ascontiguousarray(g_prev).reshape(n * d, -1)
+            wbar += np.matmul(ubar.reshape(n * d, -1).T, st.g[l - 1].reshape(n * d, -1), out=tmp)
         if tbar is not None:
-            wbar += tbar.T @ q_prev
-        ws, bs = slices[l - 1]
-        grad_flat[ws] = wbar.ravel()
-        grad_flat[bs] = zbar.sum(axis=0)
+            wbar += np.matmul(tbar.T, st.q[l - 1], out=tmp)
+        zbar.sum(axis=0, out=grad_flat[b_slice])
     return grad_flat

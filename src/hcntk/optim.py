@@ -34,19 +34,36 @@ def sgd(theta0, fg, lr, steps, callback=None):
 
 
 def adam(theta0, fg, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8, callback=None):
+    """Adam, updating its moments and ``theta`` in place.
+
+    Each step is theta -= lr * mhat / (sqrt(vhat) + eps) with
+    m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and the
+    bias-corrected mhat, vhat; the in-place steps evaluate those
+    expressions operand for operand, so no step allocates.
+    """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    step = np.empty_like(theta)
+    denom = np.empty_like(theta)
     loss = float("nan")
     for k in range(steps):
         loss, grad = fg(theta)
         if callback is not None:
             callback(k, loss, theta)
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        mhat = m / (1.0 - beta1 ** (k + 1))
-        vhat = v / (1.0 - beta2 ** (k + 1))
-        theta -= lr * mhat / (np.sqrt(vhat) + eps)
+        m *= beta1
+        m += np.multiply(grad, 1.0 - beta1, out=step)
+        v *= beta2
+        np.multiply(grad, 1.0 - beta2, out=step)
+        step *= grad
+        v += step
+        np.divide(m, 1.0 - beta1 ** (k + 1), out=step)  # mhat
+        np.divide(v, 1.0 - beta2 ** (k + 1), out=denom)  # vhat
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step *= lr
+        step /= denom
+        theta -= step
     return OptResult(theta=theta, loss=loss, epochs=steps, status="finished")
 
 

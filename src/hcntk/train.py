@@ -56,7 +56,6 @@ class TrainConfig:
     snapshot_epochs: tuple = (0,)
     test_points: int = 1000  # total test-grid size target
     divergence_factor: float = 1e6
-    keep_snapshot_matrices: bool = False
 
     def validate(self):
         for ph in self.phases:
@@ -88,7 +87,11 @@ def make_closure(params_template, pair, problem, points):
 
     Everything theta-independent (coefficient fields, source values, the
     operator applied to A) is precomputed once; each call runs one extended
-    forward pass and one reverse pass.
+    forward pass and one reverse pass. The closure owns a workspace dict
+    that both passes write their carriers, adjoints and scratch into, and
+    reads the parameters as views of ``theta``, so a call allocates only
+    its per-point residual terms and the returned gradient. The loss,
+    gradient and residual vectors it returns are never written again.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = x.shape[0]
@@ -96,22 +99,24 @@ def make_closure(params_template, pair, problem, points):
     f_vals = problem.source(x)
     a_term = problem.op.apply(pair.a_value(x), pair.a_grad(x), pair.a_lap(x), x)
     const = a_term - f_vals
+    ws = {}
+
+    def residual_of(st):
+        return const + cf.alpha * st.value + (cf.beta * st.grad).sum(axis=1) + cf.gamma * st.lap
+
+    def residuals(theta):
+        return residual_of(net.forward(params_template.view(theta), x, order=2, ws=ws))
 
     def fg(theta):
-        p = params_template.unflatten(theta)
-        st = net.forward(p, x, order=2)
-        r = const + cf.alpha * st.value + np.sum(cf.beta * st.grad, axis=1) + cf.gamma * st.lap
+        p = params_template.view(theta)
+        st = net.forward(p, x, order=2, ws=ws)
+        r = residual_of(st)
         loss = float(r @ r) / n
         scale = 2.0 / n
         grad = net.weighted_residual_gradient(
             p, st, scale * r * cf.alpha, scale * r[:, None] * cf.beta, scale * r * cf.gamma
         )
         return loss, grad
-
-    def residuals(theta):
-        p = params_template.unflatten(theta)
-        st = net.forward(p, x, order=2)
-        return const + cf.alpha * st.value + np.sum(cf.beta * st.grad, axis=1) + cf.gamma * st.lap
 
     fg.residuals = residuals
     return fg
@@ -147,7 +152,7 @@ def test_grid_for(problem, total_points):
     return boundary.grid(problem.dim, per_axis, include_boundary=True)
 
 
-def _snapshot(epoch, theta, template, pair, problem, points, keep_matrices):
+def _snapshot(epoch, theta, template, pair, problem, points):
     p = template.unflatten(theta)
     bundle = kernels.assemble_bundle(p, pair, problem, points)
     entry = {"epoch": int(epoch)}
@@ -162,8 +167,6 @@ def _snapshot(epoch, theta, template, pair, problem, points, keep_matrices):
             "lambda_min": rep.lambda_min,
             "lambda_min_retained": rep.lambda_min_retained,
         }
-    if keep_matrices:
-        entry["bundle"] = bundle
     return entry
 
 
@@ -200,10 +203,7 @@ def run(config: TrainConfig) -> TrainRecord:
         elif state["loss0"] > 0 and loss > config.divergence_factor * state["loss0"]:
             raise DivergenceDetected(epoch, loss)
         if epoch in snapshot_set:
-            snapshots.append(
-                _snapshot(epoch, th, template, pair, problem, points,
-                          config.keep_snapshot_matrices)
-            )
+            snapshots.append(_snapshot(epoch, th, template, pair, problem, points))
 
     t_start = time.perf_counter()
     statuses = []
@@ -221,10 +221,7 @@ def run(config: TrainConfig) -> TrainRecord:
 
     final_loss = float(fg(theta)[0])  # recomputed from the final parameters
     if total_epochs in snapshot_set and (not snapshots or snapshots[-1]["epoch"] != total_epochs):
-        snapshots.append(
-            _snapshot(total_epochs, theta, template, pair, problem, points,
-                      config.keep_snapshot_matrices)
-        )
+        snapshots.append(_snapshot(total_epochs, theta, template, pair, problem, points))
     trial = kernels.TrialFunction(pair=pair, params=template.unflatten(theta))
     final_l2 = None
     if problem.exact is not None:
@@ -272,9 +269,7 @@ def write_record(record: TrainRecord, out_dir, tag="run"):
         "epochs_run": int(record.epochs[-1] + 1) if record.epochs.size else 0,
         "phase_statuses": record.phase_statuses,
         "total_wall_s": record.total_wall_s,
-        "snapshots": [
-            {k: v for k, v in snap.items() if k != "bundle"} for snap in record.snapshots
-        ],
+        "snapshots": record.snapshots,
     }
     io.write_json(os.path.join(out_dir, f"{tag}_summary.json"), summary)
     template = net.init_kaiming_uniform(

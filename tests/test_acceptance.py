@@ -27,16 +27,25 @@ from hcntk.linalg import SymMatrix, eig_sym, spearman
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
-_cache = {}
+
+@pytest.fixture(scope="session")
+def out_root(tmp_path_factory):
+    """This session's own output directory, so concurrent suites never share outputs."""
+    return tmp_path_factory.mktemp("hcntk_acceptance")
 
 
-def desk_run(name, tmp_base="/tmp/hcntk_acceptance"):
-    """Run (and cache) a desk config through the real experiment runner."""
-    if name not in _cache:
-        cfg = load_config(os.path.join(CONFIG_DIR, "desk", name + ".yaml"))
-        out = os.path.join(tmp_base, name)
-        _cache[name] = experiments.run_experiment(cfg, out)
-    return _cache[name]
+@pytest.fixture(scope="session")
+def desk_run(out_root):
+    """Run (and cache for the session) a desk config through the real experiment runner."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            cfg = load_config(os.path.join(CONFIG_DIR, "desk", name + ".yaml"))
+            cache[name] = experiments.run_experiment(cfg, str(out_root / name))
+        return cache[name]
+
+    return run
 
 
 def report(cid, passed, detail):
@@ -212,7 +221,7 @@ def test_c06_exact_solution_gate():
 # Paper-number reproduction at desk scale
 
 
-def test_c07_kn_seed_invariance():
+def test_c07_kn_seed_invariance(desk_run):
     res = desk_run("kn_invariance_seed")
     m = res.metrics
     checks = [
@@ -227,7 +236,7 @@ def test_c07_kn_seed_invariance():
     assert all(checks)
 
 
-def test_c08_width_study():
+def test_c08_width_study(desk_run):
     res = desk_run("kn_invariance_width")
     m = res.metrics
     cvs = [m[f"cv_mean_w{w}"] for w in (5, 50, 500, 2000)]
@@ -241,18 +250,15 @@ def test_c08_width_study():
     assert all(checks)
 
 
-def test_c09_depth_study():
+def test_c09_depth_study(desk_run):
     res = desk_run("kn_invariance_depth")
     m = res.metrics
     traces = [m[f"trace_mean_d{d}"] for d in (1, 2, 4, 8)]
     effs = [m[f"eff_rank_mean_d{d}"] for d in (1, 2, 4, 8)]
-    # eff_rank per-step comparison carries a 1e-2 seed-noise slack at 10
-    # seeds (adjacent depths differ by ~2e-3 against a 0.09 overall drop)
-    eff_decreasing = all(a >= b - 1e-2 for a, b in zip(effs, effs[1:])) and effs[0] > effs[-1]
     checks = [
         all(a > b for a, b in zip(traces, traces[1:])),
         traces[0] / traces[-1] >= 20.0,
-        eff_decreasing,
+        m["eff_rank_decreasing"] == 1.0,  # experiments.eff_rank_decreasing, with its seed-noise slack
     ]
     report(9, all(checks),
            f"depth study: trace ratio {traces[0] / traces[-1]:.1f}x, "
@@ -260,7 +266,7 @@ def test_c09_depth_study():
     assert all(checks)
 
 
-def test_c10_activation_study():
+def test_c10_activation_study(desk_run):
     res = desk_run("kn_invariance_activation")
     m = res.metrics
     checks = [
@@ -276,7 +282,7 @@ def test_c10_activation_study():
     assert all(checks)
 
 
-def test_c11_kt_power_sweep():
+def test_c11_kt_power_sweep(desk_run):
     res = desk_run("kt_spectrum_power")
     m = res.metrics
     sym_rows = [r for r in res.rows if r["family"] == "power" and r["status"] == "ok"]
@@ -295,15 +301,15 @@ def test_c11_kt_power_sweep():
     assert all(checks)
 
 
-def _c12_rows():
+def _c12_rows(desk_run):
     res = desk_run("kr_spectrum_alpha")
     rows = [r for r in res.rows if r["status"] == "ok"]
     rows.sort(key=lambda r: r["alpha"])
     return res, rows
 
 
-def test_c12_kr_alpha_sweep_magnitudes():
-    res, rows = _c12_rows()
+def test_c12_kr_alpha_sweep_magnitudes(desk_run):
+    res, rows = _c12_rows(desk_run)
     traces = [r["trace"] for r in rows]
     frobs = [r["frob"] for r in rows]
     kappa_05 = rows[0]["kappa"]
@@ -327,8 +333,8 @@ def test_c12_kr_alpha_sweep_magnitudes():
     "+0.8..+1.0 (eff_rank peaks at alpha=1, then both columns decrease)",
     strict=False,
 )
-def test_c12_kr_alpha_sweep_correlations():
-    _, rows = _c12_rows()
+def test_c12_kr_alpha_sweep_correlations(desk_run):
+    _, rows = _c12_rows(desk_run)
     effs = [r["eff_rank"] for r in rows]
     rhos = {}
     for feat in ("b2_max", "curv_l2"):
@@ -342,7 +348,7 @@ def test_c12_kr_alpha_sweep_correlations():
     assert ok
 
 
-def test_c13_reference_spectral_point():
+def test_c13_reference_spectral_point(desk_run):
     res = desk_run("kr_reference_point")
     rows = [r for r in res.rows if r["status"] == "ok"]
     eff = float(np.mean([r["eff_rank"] for r in rows]))
@@ -361,7 +367,7 @@ def test_c13_reference_spectral_point():
     "window reflecting the original pipeline's looser noise floor",
     strict=False,
 )
-def test_c13_reference_spectral_point_kappa():
+def test_c13_reference_spectral_point_kappa(desk_run):
     res = desk_run("kr_reference_point")
     rows = [r for r in res.rows if r["status"] == "ok"]
     kappa = float(np.mean([r["kappa"] for r in rows]))
@@ -370,7 +376,7 @@ def test_c13_reference_spectral_point_kappa():
     assert ok
 
 
-def test_c14_optimizer_comparison():
+def test_c14_optimizer_comparison(desk_run):
     t0 = time.time()
     res = desk_run("optimizer_compare")
     m = res.metrics
@@ -388,7 +394,7 @@ def test_c14_optimizer_comparison():
     assert all(checks)
 
 
-def test_c15_family_study_1d():
+def test_c15_family_study_1d(desk_run):
     res = desk_run("train_study_1d")
     m = res.metrics
     ok_rows = [r for r in res.rows if r["status"] == "ok"]
@@ -409,7 +415,7 @@ def test_c15_family_study_1d():
     assert all(checks)
 
 
-def test_c15b_failures_surface_as_rows():
+def test_c15b_failures_surface_as_rows(out_root):
     # a deliberately divergent schedule must yield a status row, not a crash
     cfg = {
         "schema_version": 1,
@@ -424,14 +430,14 @@ def test_c15b_failures_surface_as_rows():
         ],
         "train": {"phases": [{"kind": "sgd", "steps": 300, "lr": 10.0}], "test_points": 100},
     }
-    res = experiments.run_experiment(cfg, "/tmp/hcntk_acceptance/divergence_probe")
+    res = experiments.run_experiment(cfg, str(out_root / "divergence_probe"))
     statuses = [r["status"] for r in res.rows]
     ok = statuses == ["divergence", "divergence"] and res.n_failures == 2
     report(15, ok, f"failure surfacing probe: statuses {statuses}")
     assert ok
 
 
-def test_c16_family_study_2d():
+def test_c16_family_study_2d(desk_run):
     res = desk_run("train_study_2d")
     m = res.metrics
     checks = [
@@ -444,7 +450,7 @@ def test_c16_family_study_2d():
     assert all(checks)
 
 
-def test_c17_family_study_3d():
+def test_c17_family_study_3d(desk_run):
     t0 = time.time()
     res = desk_run("train_study_3d")
     m = res.metrics
@@ -468,7 +474,7 @@ def test_c17_family_study_3d():
     "(asymmetric worse) holds",
     strict=False,
 )
-def test_c17_family_study_3d_asym_ratio():
+def test_c17_family_study_3d_asym_ratio(desk_run):
     res = desk_run("train_study_3d")
     m = res.metrics
     ratio = m["l2_mean_mixed_power_asym3d"] / m["l2_mean_mixed_power_sym3d"]
@@ -477,7 +483,7 @@ def test_c17_family_study_3d_asym_ratio():
     assert ok
 
 
-def test_c18_full_scale_configs_exist_and_run():
+def test_c18_full_scale_configs_exist_and_run(out_root):
     # full-scale runs are not required for acceptance, but the configs must
     # exist and be runnable: all must validate, and the cheapest one runs
     paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "full", "*.yaml")))
@@ -485,7 +491,7 @@ def test_c18_full_scale_configs_exist_and_run():
     for p in paths:
         load_config(p)
     cfg = load_config(os.path.join(CONFIG_DIR, "full", "kt_spectrum_power.yaml"))
-    res = experiments.run_experiment(cfg, "/tmp/hcntk_acceptance/full_kt")
+    res = experiments.run_experiment(cfg, str(out_root / "full_kt"))
     ok = len(res.rows) == 13 and res.n_failures == 0
     report(18, ok, f"full-scale configs: {len(paths)} validate; kt sweep ran "
                    f"{len(res.rows)} rows")

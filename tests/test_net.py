@@ -138,6 +138,41 @@ class TestForward:
             net.forward(p, [[0.1, 0.2, 0.3]])
 
 
+def _plain_derivs(name, z):
+    # the activation derivatives as plain expressions, the reference for
+    # the in-place forms of net.ACTIVATIONS
+    if name == "tanh":
+        a = np.tanh(z)
+        s1 = 1.0 - a * a
+        return a, s1, -2.0 * a * s1, -2.0 * s1 * (1.0 - 3.0 * a * a)
+    if name == "sigmoid":
+        a = 1.0 / (1.0 + np.exp(-z))
+        s1 = a * (1.0 - a)
+        return a, s1, s1 * (1.0 - 2.0 * a), s1 * (1.0 - 6.0 * a + 6.0 * a * a)
+    if name == "relu":
+        return np.maximum(z, 0.0), (z > 0.0).astype(np.float64), None, None
+    if name == "leaky_relu":
+        return np.where(z > 0.0, z, 0.01 * z), np.where(z > 0.0, 1.0, 0.01), None, None
+    lam, alpha = (1.0, 1.0) if name == "elu" else (1.0507009873554805, 1.6732632423543772)
+    pos = z > 0.0
+    a = np.where(pos, lam * z, lam * alpha * np.expm1(z))
+    neg_slope = a + lam * alpha
+    s2 = np.where(pos, 0.0, neg_slope)
+    return a, np.where(pos, lam, neg_slope), s2, s2
+
+
+@pytest.mark.parametrize("name", sorted(net.ACTIVATIONS))
+def test_in_place_derivatives_match_plain_expressions(rng, name):
+    act = net.ACTIVATIONS[name]
+    z = np.concatenate([rng.uniform(-30.0, 30.0, 500), rng.standard_normal(500), [0.0, -0.0]])
+    want = _plain_derivs(name, z)
+    order = act.max_order
+    for out in (None, [np.empty_like(z) for _ in range(act.n_arrays(order))]):
+        got = act.eval_derivs(z, order, out)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or np.array_equal(g, w)
+
+
 def central_diff_jacobians(params, x, h=1e-5):
     flat = params.flatten()
     d = params.input_dim

@@ -116,3 +116,25 @@ class TestAdamDetails:
         r1 = optim.adam(np.array([-1.2, 1.0]), fg, lr=0.01, steps=100)
         r2 = optim.adam(np.array([-1.2, 1.0]), fg, lr=0.01, steps=100)
         assert np.array_equal(r1.theta, r2.theta)
+
+
+def test_adam_in_place_matches_textbook_expressions():
+    # the in-place update must give the same bits as the plain expressions
+    fg, _ = rosenbrock()
+    lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+    theta = np.array([-1.2, 1.0])
+    m, v = np.zeros(2), np.zeros(2)
+    want = []
+    for k in range(300):
+        _, grad = fg(theta)
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        mhat = m / (1.0 - beta1 ** (k + 1))
+        vhat = v / (1.0 - beta2 ** (k + 1))
+        theta = theta - lr * mhat / (np.sqrt(vhat) + eps)
+        want.append(theta)
+    got = []
+    res = optim.adam(np.array([-1.2, 1.0]), fg, lr, 300,
+                     callback=lambda k, loss, th: got.append(th.copy()))
+    assert all(np.array_equal(g, w) for g, w in zip(got[1:], want))
+    assert np.array_equal(res.theta, want[-1])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hcntk import boundary, kernels, net, pde, train
 from hcntk.errors import ConfigError, DegenerateReference, DivergenceDetected
+from hcntk.linalg import eig_sym
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,109 @@ class TestLossAndGrad:
         assert np.linalg.norm(grad) <= 1e-7
 
 
+CLOSURE_CASES = {  # dim: (benchmark, family, params)
+    1: ("diffusion1d_sincos", "tanh", {"alpha": 3.0}),
+    2: ("diffusion2d", "tanh2d", {"alpha": 3.0}),
+    3: ("diffusion3d", "mixed_power_sym3d", {"alpha": 1.0}),
+}
+
+
+def closure_setup(dim, hidden, activation, grid_n, seed=0):
+    bench, family, params = CLOSURE_CASES[dim]
+    problem = pde.benchmark(bench)
+    pair = boundary.make_pair(family, params)
+    pts = train.build_grid(dim, grid_n, "trimmed")
+    template = net.init_kaiming_uniform((dim, *hidden, 1), activation, seed)
+    return template, pair, problem, pts
+
+
+def fresh_loss_grad(template, pair, problem, x, theta):
+    # the closure's arithmetic, composed from the workspace-free passes
+    p = template.unflatten(theta)
+    cf = pde.coefficients(problem.op, pair, x)
+    const = problem.op.apply(pair.a_value(x), pair.a_grad(x), pair.a_lap(x), x) - problem.source(x)
+    st = net.forward(p, x, order=2)
+    r = const + cf.alpha * st.value + np.sum(cf.beta * st.grad, axis=1) + cf.gamma * st.lap
+    n = len(x)
+    scale = 2.0 / n
+    grad = net.weighted_residual_gradient(
+        p, st, scale * r * cf.alpha, scale * r[:, None] * cf.beta, scale * r * cf.gamma
+    )
+    return float(r @ r) / n, grad, r
+
+
+class TestClosureWorkspace:
+    @pytest.mark.parametrize("dim,grid_n", [(1, 20), (2, 7), (3, 5)])
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "elu", "selu"])
+    def test_bitwise_equal_to_fresh_passes(self, dim, grid_n, activation):
+        template, pair, problem, pts = closure_setup(dim, (9, 7), activation, grid_n)
+        fg = train.make_closure(template, pair, problem, pts)
+        rng = np.random.default_rng(dim)
+        theta0 = template.flatten()
+        for theta in (theta0, theta0 + 0.1 * rng.standard_normal(theta0.size)):
+            loss, grad = fg(theta)
+            want_loss, want_grad, want_r = fresh_loss_grad(template, pair, problem, pts, theta)
+            assert loss == want_loss
+            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(fg.residuals(theta), want_r)
+
+    def test_repeated_point_gives_same_bits(self):
+        template, pair, problem, pts = closure_setup(2, (12, 12), "tanh", 8)
+        fg = train.make_closure(template, pair, problem, pts)
+        a = template.flatten()
+        b = a + 0.05 * np.random.default_rng(1).standard_normal(a.size)
+        loss_a, grad_a = fg(a)
+        keep = grad_a.copy()
+        loss_b, grad_b = fg(b)
+        assert loss_b != loss_a
+        loss_a2, grad_a2 = fg(a)
+        assert loss_a2 == loss_a and np.array_equal(grad_a2, keep)
+
+    def test_returned_vectors_are_never_overwritten(self):
+        template, pair, problem, pts = closure_setup(1, (12, 12), "tanh", 30)
+        fg = train.make_closure(template, pair, problem, pts)
+        a = template.flatten()
+        b = a + 0.05 * np.random.default_rng(2).standard_normal(a.size)
+        _, grad_a = fg(a)
+        r_a = fg.residuals(a)
+        kept_grad, kept_r = grad_a.copy(), r_a.copy()
+        _, grad_b = fg(b)
+        r_b = fg.residuals(b)
+        assert np.array_equal(grad_a, kept_grad) and np.array_equal(r_a, kept_r)
+        assert not np.shares_memory(grad_a, grad_b) and not np.shares_memory(r_a, r_b)
+        assert not np.shares_memory(r_a, grad_b)
+
+    @pytest.mark.parametrize("dim,grid_n", [(1, 100), (2, 24)])
+    def test_warm_call_allocates_little(self, dim, grid_n):
+        # train-1d's shape (n=98) and the 2D desk study's (n=484), 2x64 tanh
+        template, pair, problem, pts = closure_setup(dim, (64, 64), "tanh", grid_n)
+        fg = train.make_closure(template, pair, problem, pts)
+        theta = template.flatten()
+        fg(theta)
+
+        def warm_peak():
+            tracemalloc.start()
+            try:
+                fg(theta)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fg(theta)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert warm_peak() <= 128 * 1024
+        # Most of that peak is numpy's ufunc iterator buffers (up to its
+        # buffer size, 8192 elements by default). With them cut to the
+        # minimum, what remains is the closure's own allocations: the
+        # gradient, the per-point residual terms and no N x width array.
+        old = np.setbufsize(16)
+        try:
+            assert warm_peak() < len(pts) * 64 * 8
+        finally:
+            np.setbufsize(old)
+
+
 class TestL2Error:
     def test_zero_for_matching_reference(self, quad_pair):
         # custom problem whose exact solution IS the trial function
@@ -116,22 +222,28 @@ class TestL2Error:
 
 class TestRun:
     def test_zero_epoch_schedule(self):
-        cfg = small_config(phases=(train.Phase("adam", 0, 1e-3),), snapshot_epochs=(0,),
-                           keep_snapshot_matrices=True)
+        cfg = small_config(phases=(train.Phase("adam", 0, 1e-3),), snapshot_epochs=(0,))
         rec = train.run(cfg)
         assert rec.epochs.size == 0
         assert len(rec.snapshots) == 1 and rec.snapshots[0]["epoch"] == 0
-        # snapshot kernels at epoch 0 are bit-identical to standalone
-        # assembly with the same seed
+        # the epoch-0 snapshot's spectra are bit-identical to those of
+        # standalone assembly with the same seed
         prob = pde.benchmark(cfg.benchmark)
         pair = boundary.make_pair(cfg.family, cfg.params)
         pts = train.build_grid(1, cfg.grid_n, cfg.grid_mode)
         params = net.init_kaiming_uniform((1, 16, 16, 1), "tanh", 0)
-        bundle = rec.snapshots[0]["bundle"]
-        assert np.array_equal(bundle.kn.a, kernels.assemble_kn(params, pts).a)
-        assert np.array_equal(
-            bundle.kr.a, kernels.assemble_kr(params, prob, pair, pts, path="direct").a
-        )
+        standalone = {
+            "kn": kernels.assemble_kn(params, pts),
+            "kt": kernels.assemble_kt(params, pair, pts, path="direct"),
+            "kr": kernels.assemble_kr(params, prob, pair, pts, path="direct"),
+        }
+        for name, mat in standalone.items():
+            rep = eig_sym(mat)
+            entry = rec.snapshots[0][name]
+            assert set(entry) == {"kappa", "eff_rank", "trace", "frob", "lambda_max",
+                                  "lambda_min", "lambda_min_retained"}
+            for key, value in entry.items():
+                assert value == getattr(rep, key), (name, key)
 
     def test_deterministic_given_seed(self):
         r1 = train.run(small_config())

@@ -1,9 +1,10 @@
 """Experiment kinds: spectral and training studies driven by declarative configs.
 
 Every sweep point becomes one result row; failed points become rows with a
-non-ok status instead of silent omissions or crashes. Result tables carry
-no wall-clock columns so re-running a config byte-reproduces them; timing
-lives in the summary JSON.
+non-ok status instead of silent omissions or crashes, and the summary JSON
+lists the cause of each (``failures``). Result tables carry no wall-clock
+columns so re-running a config byte-reproduces them; timing lives in the
+summary JSON.
 """
 
 import os
@@ -33,8 +34,30 @@ class ExperimentResult:
     rows: list
     columns: list
     metrics: dict
-    n_failures: int = 0
+    failures: list = field(default_factory=list)  # {"row", "status", "message"} per failed row
     extra_files: list = field(default_factory=list)
+
+    @property
+    def n_failures(self):
+        return len(self.failures)
+
+
+_FAILURE_STATUS = {
+    DivergenceDetected: "divergence",
+    EigFailure: "eig-failure",
+    SingularCoefficient: "singular-coefficient",
+}
+
+
+def _fail(row, exc, index, failures):
+    """Give ``row`` the status of ``exc`` and record its cause as failed row ``index``.
+
+    The message is the exception's text: LAPACK's for ``EigFailure``, the
+    point index for ``SingularCoefficient``, the epoch and loss for
+    ``DivergenceDetected``.
+    """
+    row["status"] = _FAILURE_STATUS[type(exc)]
+    failures.append({"row": index, "status": row["status"], "message": str(exc)})
 
 
 def _verbose():
@@ -268,8 +291,7 @@ def _spectrum_sweep(cfg, out_dir, which):
     points = _grid_of(cfg, dim)
     sizes = network_sizes(cfg, input_dim=dim)
     activation = cfg["network"].get("activation", "tanh")
-    rows, extra = [], []
-    n_failures = 0
+    rows, extra, failures = [], [], []
     for fam in cfg["families"]:
         pair = boundary.make_pair(fam["family"], fam.get("params", {}))
         feats = boundary.features(pair, points).as_dict()
@@ -291,15 +313,11 @@ def _spectrum_sweep(cfg, out_dir, which):
                     if not os.path.exists(coeff_path):
                         pde.dump_coefficients(problem.op, pair, points, coeff_path)
                         extra.append(coeff_path)
-            except EigFailure:
-                row["status"] = "eig-failure"
-                n_failures += 1
-            except SingularCoefficient:
-                row["status"] = "singular-coefficient"
-                n_failures += 1
+            except (EigFailure, SingularCoefficient) as exc:
+                _fail(row, exc, len(rows), failures)
             rows.append(row)
         _log(f"  {_fam_tag(fam)}: done")
-    return rows, extra, n_failures
+    return rows, extra, failures
 
 
 def _seed_mean_rows(rows, value_cols):
@@ -358,15 +376,15 @@ _SWEEP_COLS = ["family", "alpha", "beta", "gamma", "seed", "status",
 
 
 def run_kt_spectrum(cfg, out_dir):
-    rows, extra, nf = _spectrum_sweep(cfg, out_dir, "kt")
+    rows, extra, failures = _spectrum_sweep(cfg, out_dir, "kt")
     metrics = _sweep_metrics(rows, FEATURE_COLS, ("eff_rank", "kappa"))
-    return ExperimentResult("kt-spectrum", rows, _SWEEP_COLS, metrics, nf, extra)
+    return ExperimentResult("kt-spectrum", rows, _SWEEP_COLS, metrics, failures, extra)
 
 
 def run_kr_spectrum(cfg, out_dir):
-    rows, extra, nf = _spectrum_sweep(cfg, out_dir, "kr")
+    rows, extra, failures = _spectrum_sweep(cfg, out_dir, "kr")
     metrics = _sweep_metrics(rows, ("curv_l2", "b2_max", "b2_tv"), ("eff_rank", "kappa"))
-    return ExperimentResult("kr-spectrum", rows, _SWEEP_COLS, metrics, nf, extra)
+    return ExperimentResult("kr-spectrum", rows, _SWEEP_COLS, metrics, failures, extra)
 
 
 def correlate_rows(rows, features, targets, stratify="family"):
@@ -402,9 +420,9 @@ def run_kr_correlation(cfg, out_dir):
                     r[k] = float(v)
                 except (TypeError, ValueError):
                     pass
-        nf, extra = 0, []
+        failures, extra = [], []
     else:
-        rows, extra, nf = _spectrum_sweep(cfg, out_dir, "kr")
+        rows, extra, failures = _spectrum_sweep(cfg, out_dir, "kr")
     mean_rows = _seed_mean_rows(rows, list(SPECTRUM_COLS) + list(FEATURE_COLS)) \
         if not table else rows
     corr = correlate_rows(mean_rows, cc["features"], cc["targets"])
@@ -415,7 +433,7 @@ def run_kr_correlation(cfg, out_dir):
     for c in corr:
         if c["scope"] == "all":
             metrics[f"spearman_{c['feature']}_{c['target']}"] = c["rho"]
-    res = ExperimentResult("kr-correlation", rows, _SWEEP_COLS, metrics, nf, extra + [corr_path])
+    res = ExperimentResult("kr-correlation", rows, _SWEEP_COLS, metrics, failures, extra + [corr_path])
     return res
 
 
@@ -434,8 +452,7 @@ def run_dynamics_sim(cfg, out_dir):
     points = _grid_of(cfg, problem.dim)
     sizes = network_sizes(cfg, input_dim=problem.dim)
     activation = cfg["network"].get("activation", "tanh")
-    rows, extra = [], []
-    n_failures = 0
+    rows, extra, failures = [], [], []
     for seed in _seeds(cfg):
         row = {**_fam_coords(fam), "seed": seed, "status": "ok"}
         try:
@@ -483,8 +500,7 @@ def run_dynamics_sim(cfg, out_dir):
                 }
             )
         except (EigFailure, SingularCoefficient) as exc:
-            row["status"] = "eig-failure" if isinstance(exc, EigFailure) else "singular-coefficient"
-            n_failures += 1
+            _fail(row, exc, len(rows), failures)
         rows.append(row)
     cols = ["family", "alpha", "beta", "gamma", "seed", "status", "t_conv", "loss_rate",
             "n_frozen", "convergent", "t_end", "max_rel_diff", "parseval_rel_err", "loss_monotone"]
@@ -494,7 +510,7 @@ def run_dynamics_sim(cfg, out_dir):
         "parseval_max": float(np.max([r["parseval_rel_err"] for r in ok])) if ok else float("nan"),
         "loss_monotone_all": float(all(r["loss_monotone"] for r in ok)) if ok else 0.0,
     }
-    return ExperimentResult("dynamics-sim", rows, cols, metrics, n_failures, extra)
+    return ExperimentResult("dynamics-sim", rows, cols, metrics, failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +552,12 @@ _TRAIN_COLS = ["family", "alpha", "beta", "gamma", "seed", "status", "final_loss
                *FEATURE_COLS]
 
 
-def _train_row(cfg, fam, seed, out_dir):
+def _train_row(cfg, fam, seed, out_dir, index, failures):
+    """The result row of one training run, which becomes row ``index``, and its record.
+
+    A run that fails gets its status in the row, its cause in
+    ``failures`` and no record.
+    """
     row = {**_fam_coords(fam), "seed": seed, "status": "ok",
            **{c: float("nan") for c in _TRAIN_COLS[6:]}}
     problem = pde.benchmark(cfg["benchmark"])
@@ -546,14 +567,8 @@ def _train_row(cfg, fam, seed, out_dir):
     tcfg = _train_config_from(cfg, fam, seed)
     try:
         rec = train.run(tcfg)
-    except DivergenceDetected:
-        row["status"] = "divergence"
-        return row, None
-    except EigFailure:
-        row["status"] = "eig-failure"
-        return row, None
-    except SingularCoefficient:
-        row["status"] = "singular-coefficient"
+    except (DivergenceDetected, EigFailure, SingularCoefficient) as exc:
+        _fail(row, exc, index, failures)
         return row, None
     row["final_loss"] = rec.final_loss
     row["final_l2"] = rec.final_l2 if rec.final_l2 is not None else float("nan")
@@ -573,20 +588,17 @@ def _train_row(cfg, fam, seed, out_dir):
 
 
 def run_train_study(cfg, out_dir):
-    rows, extra = [], []
-    n_failures = 0
+    rows, failures = [], []
     for fam in cfg["families"]:
         for seed in _seeds(cfg):
             _log(f"  training {_fam_tag(fam)} seed={seed}")
-            row, rec = _train_row(cfg, fam, seed, out_dir)
-            if row["status"] != "ok":
-                n_failures += 1
-            elif rec is not None:
+            row, rec = _train_row(cfg, fam, seed, out_dir, len(rows), failures)
+            if rec is not None:
                 run_dir = os.path.join(out_dir, "runs")
                 train.write_record(rec, run_dir, tag=f"{_fam_tag(fam)}_s{seed}")
             rows.append(row)
     ok = [r for r in rows if r["status"] == "ok"]
-    metrics = {"n_ok": len(ok), "n_failed": n_failures}
+    metrics = {"n_ok": len(ok), "n_failed": len(failures)}
     for fam_name in sorted({r["family"] for r in rows}):
         sub = [r for r in ok if r["family"] == fam_name]
         metrics[f"l2_mean_{fam_name}"] = _maybe_mean([r["final_l2"] for r in sub])
@@ -598,7 +610,7 @@ def run_train_study(cfg, out_dir):
     metrics["spearman_kr0_eff_rank_final_l2"] = rho
     if status != "ok":
         metrics["spearman_kr0_eff_rank_final_l2_status"] = status
-    return ExperimentResult("train-study", rows, _TRAIN_COLS, metrics, n_failures)
+    return ExperimentResult("train-study", rows, _TRAIN_COLS, metrics, failures)
 
 
 def run_optimizer_compare(cfg, out_dir):
@@ -606,16 +618,14 @@ def run_optimizer_compare(cfg, out_dir):
     seed = _seeds(cfg)[0]
     rows = []
     metrics = {}
-    n_failures = 0
+    failures = []
     for strat in cfg["strategies"]:
         name = strat["name"]
         sub = dict(cfg)
         sub["train"] = dict(cfg.get("train", {}))
         sub["train"]["phases"] = strat["phases"]
-        row, rec = _train_row(sub, fam, seed, out_dir)
+        row, rec = _train_row(sub, fam, seed, out_dir, len(rows), failures)
         row = {"strategy": name, **row}
-        if row["status"] != "ok":
-            n_failures += 1
         if rec is not None:
             train.write_record(rec, os.path.join(out_dir, "runs"), tag=name)
             metrics[f"wall_s_{name}"] = rec.total_wall_s
@@ -625,7 +635,7 @@ def run_optimizer_compare(cfg, out_dir):
         rows.append(row)
         _log(f"  strategy {name}: loss={row['final_loss']:.3e}")
     cols = ["strategy", *_TRAIN_COLS]
-    return ExperimentResult("optimizer-compare", rows, cols, metrics, n_failures)
+    return ExperimentResult("optimizer-compare", rows, cols, metrics, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +674,7 @@ def run_experiment(cfg, out_dir):
         "metrics": result.metrics,
         "n_rows": len(result.rows),
         "n_failures": result.n_failures,
+        "failures": result.failures,
     }
     io.write_json(os.path.join(out_dir, "summary.json"), summary)
     return result

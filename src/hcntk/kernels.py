@@ -10,10 +10,17 @@ K_t and K_r each have two permanently tested construction paths:
   K_t, the nine-term coefficient formula for K_r.
 
 Every Gram comes from ``net.factored_grams``. Per layer, the weight gradient
-of a pointwise output combination at one point is a sum of d + 2 outer
-products of reverse-pass adjoints with forward carriers, so its Gram is a
-sum of Hadamard products of N x N factor Grams: no N x P Jacobian is ever
-formed, and the cost grows with the layer width, not with its square.
+of a pointwise output combination at one point is a sum of K = d + 2 outer
+products of reverse-pass adjoints with forward carriers, and each layer's
+Gram is contracted whichever way counts fewer operations per entry. A
+square hidden layer takes a sum of Hadamard products of N x N factor Grams,
+whose cost grows with the layer width, not with its square. The thin
+layers (the input layer, with d-wide right factors, and the scalar output
+layer) of K_r and the component kernels form their per-point gradients
+Phi, of N x n_l (n_{l-1} + 1) entries, and contract them in one matrix
+product per Gram: that is the cheaper count there, and it keeps Phi within
+O(K^2 N width) entries. K_n and K_t have one factor (K = 1), so only their
+output layer goes through Phi. No N x P Jacobian is ever formed.
 """
 
 from dataclasses import dataclass
@@ -48,7 +55,9 @@ class KernelBundle:
 
 
 def _symmetrize(k):
-    return SymMatrix(0.5 * (k + k.T))
+    s = k + k.T
+    s *= 0.5
+    return SymMatrix(s)
 
 
 def trial_eval(trial, points, state=None):
@@ -95,8 +104,10 @@ def assemble_kt(params, pair, points, path="composed"):
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     b = pair.value(x)
     if path == "composed":
-        kn = assemble_kn(params, x).a
-        return _symmetrize(b[:, None] * kn * b[None, :])
+        kn = assemble_kn(params, x).a  # a fresh array, scaled in place
+        kn *= b[:, None]
+        kn *= b[None, :]
+        return _symmetrize(kn)
     if path == "direct":
         st = net.forward(params, x, order=0)
         return SymMatrix(net.factored_grams(params, st, b[None, :])[0])

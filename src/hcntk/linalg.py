@@ -20,29 +20,25 @@ FROZEN_MODE_CUT = 1e-12  # relative to lambda_max; below this a mode is frozen
 class SymMatrix:
     """Dense real symmetric matrix.
 
-    Symmetry is enforced by construction: the stored array is the upper
-    triangle of the input mirrored onto the lower triangle, so entry (i, j)
-    always equals entry (j, i) exactly.
+    Symmetry is enforced by construction, so entry (i, j) always equals
+    entry (j, i) exactly. An input that is already exactly symmetric is
+    kept as it is: a float64 array is held, not copied. Any other input is
+    replaced by its upper triangle mirrored onto the lower triangle.
     """
 
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=np.float64)
+        m = np.asarray(entries, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidMatrix(f"expected square matrix of dimension >= 1, got shape {m.shape}")
-        upper = np.triu(m)
-        self.a = upper + np.triu(m, 1).T
+        if not np.array_equal(m, m.T):
+            m = np.triu(m) + np.triu(m, 1).T
+        self.a = m
 
     @property
     def n(self):
         return self.a.shape[0]
-
-    def entry(self, i, j):
-        return float(self.a[i, j])
-
-    def to_array(self):
-        return self.a.copy()
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and np.array_equal(self.a, other.a)

@@ -523,66 +523,173 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
     entry for the pair (c, c') is [<dF_c(x_i)/dtheta, dF_c'(x_j)/dtheta>]_ij.
 
     Layer l's weight gradient of F_c at x_i is a sum of K = d + 2 outer
-    products sum_k L_k[i] (x) R_k[i]: the left factors are the reverse-pass
-    adjoints (zbar_l, ubar_l[:, m], tbar_l) of the combination, the right
-    factors the forward carriers (a_{l-1}, g_{l-1}[:, m], q_{l-1}), and the
-    bias gradient is L_0[i]. The layer's Gram is therefore
-    sum_{k,k'} (L_k L_k'^T) o (R_k R_k'^T) + L_0 L_0^T, accumulated one
-    (k, k') pair at a time: O(K^2 N^2 width) work, O(N^2 + N width)
-    scratch, and no N x P array. Diagonal pairs (c, c) are assembled from
-    k <= k' and returned exactly symmetric.
+    products Phi_c[i] = sum_k L_k[i] (x) R_k[i]: the left factors are the
+    reverse-pass adjoints (zbar_l, ubar_l[:, m], tbar_l) of the
+    combination, the right factors the forward carriers (a_{l-1},
+    g_{l-1}[:, m], q_{l-1}), and the bias gradient is L_0[i]. Each layer's
+    Gram is contracted whichever way takes fewer operations per Gram entry
+    (``_phi_is_cheaper``):
+
+    * factored: sum_{k,k'} (L_k L_k'^T) o (R_k R_k'^T) + L_0 L_0^T, one
+      (k, k') pair at a time, with each R_k R_k'^T shared by all pairs;
+      about K^2 (n_{l-1} + n_l) per entry;
+    * through Phi: the per-point gradients themselves, an
+      N x n_l (n_{l-1} + 1) block of Phi_c, contracted as Phi_c Phi_c'^T;
+      n_l (n_{l-1} + 1) per entry and pair.
+
+    With all K factors, Phi wins on the thin layers, the input layer (whose
+    right factors are d wide) and the scalar output layer; with the single
+    factor of the value alone, on the output layer only. The factored sum
+    wins on the square hidden layers, where Phi would hold N n_l n_{l-1}
+    entries. Because a layer goes through Phi only when n_l (n_{l-1} + 1)
+    is below its factored count, Phi never holds more than O(K^2 N width)
+    entries per combination. The Phi blocks of all such layers sit side by
+    side, so each pair takes them in one matrix product. Scratch is two
+    N x N arrays plus Phi, and no N x P array is formed. Diagonal pairs
+    (c, c) take k <= k' in the factored sum and are returned exactly
+    symmetric.
     """
     n, d = st.x.shape
     if (ubar is not None and st.order < 1) or (tbar is not None and (st.order < 2 or ubar is None)):
         raise ValueError("the seeds need a forward state of matching order")
     support = _left_support(zbar, ubar, tbar)
     seeds = [s[..., None] if s is not None else None for s in (zbar, ubar, tbar)]
+    n_factors = 1 + (d if ubar is not None else 0) + (1 if tbar is not None else 0)
+    plans, phi_layers = {}, []  # the factored plan of each layer, or its place in Phi
+    for l in range(1, params.n_layers + 1):
+        has_right = [True] * n_factors
+        if tbar is not None and l == 1:
+            has_right[-1] = False  # the inputs have no Laplacian
+        plan = _factored_plan(pairs, support, has_right)
+        n_l, n_prev = params.weights[l - 1].shape
+        if _phi_is_cheaper(plan, len(pairs), n_l, n_prev):
+            phi_layers.append(l)
+        else:
+            plans[l] = plan
+    phi_cols = sum(params.weights[l - 1].size + params.biases[l - 1].size for l in phi_layers)
+    # The result is allocated after Phi and the scratch, so that freeing
+    # them on return leaves a hole below it for the caller's next arrays
+    # (an eigensolver's workspace) rather than a free heap top, which the
+    # allocator may hand back to the system and the next call then faults
+    # in again page by page.
+    phi = np.empty((zbar.shape[0], n, phi_cols)) if phi_layers else None
+    scratch = np.empty((2, n, n))
     out = np.zeros((len(pairs), n, n))
+    col = 0
     for l, zb, ub, tb in _reverse_layers(params, st, *seeds):
         lefts, rights = [zb], [st.a[l - 1]]
         if ub is not None:
-            lefts += [np.ascontiguousarray(ub[:, :, m]) for m in range(d)]
-            rights += [np.ascontiguousarray(st.g[l - 1][:, m]) for m in range(d)]
+            lefts += [ub[:, :, m] for m in range(d)]
+            rights += [st.g[l - 1][:, m] for m in range(d)]
         if tb is not None:
             lefts.append(tb)
-            rights.append(st.q[l - 1] if l > 1 else None)  # the inputs have no Laplacian
-        _accumulate_layer_grams(out, pairs, support, lefts, rights)
+            rights.append(st.q[l - 1] if l > 1 else None)
+        if l in plans:
+            lefts = [np.ascontiguousarray(left) for left in lefts]
+            rights = [None if r is None else np.ascontiguousarray(r) for r in rights]
+            _accumulate_layer_grams(out, plans[l], lefts, rights, scratch)
+        else:
+            n_l, n_prev = params.weights[l - 1].shape
+            width = n_l * (n_prev + 1)
+            _write_layer_gradients(phi[:, :, col : col + width].reshape(-1, n, n_prev + 1, n_l),
+                                   lefts, rights)
+            col += width
+    gram, half = scratch
     for p, (c, c2) in enumerate(pairs):
-        if c == c2:
-            out[p] = out[p] + out[p].T
+        if phi is not None:
+            np.matmul(phi[c], phi[c2].T, out=gram)
+        if c == c2:  # complete the k <= k' half sum, then add the Phi Gram
+            np.add(out[p], out[p].T, out=half)
+            if phi is None:
+                np.copyto(out[p], half)
+            else:
+                np.add(half, gram, out=out[p])
+        elif phi is not None:
+            out[p] += gram
     return out
 
 
-def _accumulate_layer_grams(out, pairs, support, lefts, rights):
-    """Add one layer's sum_{k,k'} (L_k L_k'^T) o (R_k R_k'^T) to every pair's Gram.
+def _factored_plan(pairs, support, has_right):
+    """The steps of one layer's factored sum: ``(k, k', terms)`` for k <= k'.
 
-    Each R_k R_k'^T with k <= k' is formed once and shared by all pairs; the
-    (k', k) term of an off-diagonal pair uses its transpose. Diagonal pairs
-    take k <= k' only, with the k = k' terms halved, and are completed by
-    adding their transpose.
+    Each term ``(p, c, c', transposed, halved)`` adds (L_k[c] L_k'[c']^T)
+    o (R_k R_k'^T) to pair p = (c, c'); a transposed term is the (k', k)
+    term of an off-diagonal pair, (L_k'[c] L_k[c']^T) o (R_k R_k'^T)^T.
+    Diagonal pairs take k <= k' only, with the k = k' terms halved, and are
+    completed by adding their transpose. Factors without a right factor,
+    or zero in every combination of a pair, add no term.
     """
-    n_factors = len(lefts)
+    plan = []
+    n_factors = len(has_right)
     for k in range(n_factors):
         for k2 in range(k, n_factors):
-            if rights[k] is None or rights[k2] is None:
+            if not (has_right[k] and has_right[k2]):
                 continue
-            terms = []  # (pair index, left of c, left of c', transposed, halved)
+            terms = []
             for p, (c, c2) in enumerate(pairs):
                 if k in support[c] and k2 in support[c2]:
-                    terms.append((p, lefts[k][c], lefts[k2][c2], False, c == c2 and k == k2))
+                    terms.append((p, c, c2, False, c == c2 and k == k2))
                 if c != c2 and k != k2 and k2 in support[c] and k in support[c2]:
-                    terms.append((p, lefts[k2][c], lefts[k][c2], True, False))
-            if not terms:
-                continue
-            rr = rights[k] @ rights[k2].T
-            if k == k2 == 0:
-                rr += 1.0  # the bias gradient is L_0 (x) 1
-            for p, left_x, left_y, transposed, halved in terms:
-                ll = left_x @ left_y.T
-                ll *= rr.T if transposed else rr
-                if halved:
-                    ll *= 0.5
-                out[p] += ll
+                    terms.append((p, c, c2, True, False))
+            if terms:
+                plan.append((k, k2, terms))
+    return plan
+
+
+def _phi_is_cheaper(plan, n_pairs, n_l, n_prev):
+    """Whether one layer's Gram costs fewer operations per entry through Phi.
+
+    Counted per Gram entry, one operation per multiply-add of a matrix
+    product and one per elementwise pass: the factored sum takes n_{l-1}
+    for each R_k R_k'^T and n_l + 2 for each term (its L L^T, the Hadamard
+    product and the sum), the Phi contraction n_l (n_{l-1} + 1) + 1 per
+    pair. Forming Phi is O(N) per entry row and left out.
+    """
+    factored = sum(n_prev + len(terms) * (n_l + 2) for _, _, terms in plan)
+    return n_pairs * (n_l * (n_prev + 1) + 1) < factored
+
+
+def _write_layer_gradients(block, lefts, rights):
+    """Write one layer's per-point gradients into its block of Phi.
+
+    ``block`` has shape (C, N, n_{l-1} + 1, n_l): the transposed weight
+    gradient sum_k R_k (x) L_k in its first n_{l-1} rows, the bias
+    gradient L_0 in the last. The order of a Gram's columns does not
+    change it, and this one keeps the layer's n_l, the long axis of the
+    thin input layer, innermost. Each outer product is formed from the
+    adjoint and carrier views in place, with one scratch array for the
+    products after the first.
+    """
+    (left, right), *rest = [(lf, r) for lf, r in zip(lefts, rights) if r is not None]
+    weights = np.multiply(right[:, :, None], left[:, :, None, :], out=block[:, :, :-1])
+    tmp = np.empty(weights.shape) if rest else None
+    for left, right in rest:
+        weights += np.multiply(right[:, :, None], left[:, :, None, :], out=tmp)
+    np.copyto(block[:, :, -1], lefts[0])
+
+
+def _accumulate_layer_grams(out, plan, lefts, rights, scratch):
+    """Add one layer's factored sum of ``_factored_plan`` to every pair's Gram.
+
+    Each R_k R_k'^T is formed once and shared by all pairs of its step.
+    The two N x N products of each term are written into the two arrays of
+    ``scratch``, so the call allocates nothing of size N x N.
+    """
+    rr, ll = scratch
+    for k, k2, terms in plan:
+        np.matmul(rights[k], rights[k2].T, out=rr)
+        if k == k2 == 0:
+            rr += 1.0  # the bias gradient is L_0 (x) 1
+        for p, c, c2, transposed, halved in terms:
+            if transposed:
+                np.matmul(lefts[k2][c], lefts[k][c2].T, out=ll)
+                ll *= rr.T
+            else:
+                np.matmul(lefts[k][c], lefts[k2][c2].T, out=ll)
+                ll *= rr
+            if halved:
+                ll *= 0.5
+            out[p] += ll
 
 
 def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):

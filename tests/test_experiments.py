@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,73 @@ class TestOptimizerCompare:
         assert [r["strategy"] for r in res.rows] == ["slow", "fast"]
         assert res.metrics["final_loss_fast"] < res.metrics["final_loss_slow"]
         assert "wall_s_fast" in res.metrics
+
+
+class TestFailureCauses:
+    """Each failed row's cause goes to summary.json; rows.csv keeps only the status."""
+
+    @staticmethod
+    def _run(cfg, out):
+        res = experiments.run_experiment(cfg, str(out))
+        header, _ = io.read_csv(out / "rows.csv")
+        assert header == res.columns
+        summary = io.read_json(out / "summary.json")
+        assert summary["n_failures"] == len(summary["failures"]) == res.n_failures
+        return res, summary["failures"]
+
+    def test_singular_coefficient_point_index(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "kind": "kr-spectrum",
+            "benchmark": "poisson1d_sin",
+            "seeds": [0, 1],
+            "network": base_net(8),
+            # the inclusive grid hits the alpha < 1 singularity of B'' at x = 0
+            "grid": {"n_per_axis": 10, "mode": "inclusive"},
+            "families": [
+                {"family": "power", "params": {"alpha": 2.0}},
+                {"family": "power", "params": {"alpha": 0.5}},
+            ],
+        }
+        res, failures = self._run(cfg, tmp_path / "out")
+        assert [r["status"] for r in res.rows] == ["ok", "ok", "singular-coefficient", "singular-coefficient"]
+        assert failures == [
+            {"row": i, "status": "singular-coefficient", "message": "singular coefficient at point index 0"}
+            for i in (2, 3)
+        ]
+
+    def test_eig_failure_lapack_message(self, tmp_path, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        cfg = {
+            "schema_version": 1,
+            "kind": "dynamics-sim",
+            "benchmark": "poisson1d_sin",
+            "seeds": [0],
+            "network": base_net(8),
+            "grid": {"n_per_axis": 12, "mode": "trimmed"},
+            "families": [{"family": "power", "params": {"alpha": 1.0}}],
+            "dynamics": {"eta": 1e-3, "n_steps": 10},
+        }
+        res, failures = self._run(cfg, tmp_path / "out")
+        assert [r["status"] for r in res.rows] == ["eig-failure"]
+        assert failures == [{"row": 0, "status": "eig-failure", "message": "Eigenvalues did not converge"}]
+
+    def test_divergence_epoch_and_loss(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "kind": "train-study",
+            "benchmark": "poisson1d_sin",
+            "seeds": [0],
+            "network": base_net(16),
+            "grid": {"n_per_axis": 20, "mode": "trimmed"},
+            "families": [{"family": "power", "params": {"alpha": 1.0}}],
+            "train": {"phases": [{"kind": "sgd", "steps": 300, "lr": 10.0}], "test_points": 100},
+        }
+        res, failures = self._run(cfg, tmp_path / "out")
+        assert [r["status"] for r in res.rows] == ["divergence"]
+        (failure,) = failures
+        assert failure["row"] == 0 and failure["status"] == "divergence"
+        assert re.fullmatch(r"training diverged at epoch \d+ \(loss \S+\)", failure["message"])

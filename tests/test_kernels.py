@@ -261,12 +261,13 @@ def test_bundle_contains_all_three(self=None):
     assert bundle.kn.n == bundle.kt.n == bundle.kr.n == len(grid)
 
 
+ORACLE_ACTIVATIONS = ("tanh", "sigmoid", "elu", "selu")
 ORACLE_CASES = [
     (act, d, hidden)
-    for act in ("tanh", "sigmoid", "elu", "selu")
+    for act in ORACLE_ACTIVATIONS
     for d in (1, 2, 3)
     for hidden in ((7,), (6, 5), (5, 6, 4))
-]
+] + [(act, d, (40, 40)) for act in ORACLE_ACTIVATIONS for d in (1, 2, 3)]
 ORACLE_SETUPS = {
     1: ("diffusion1d_sincos", "tanh"),
     2: ("diffusion2d", "tanh2d"),
@@ -290,7 +291,9 @@ class TestFactoredGramsMatchJacobianGrams:
     """Every kernel against J J^T built from the materialized parameter Jacobians.
 
     The (d, w, 1) cases have a single hidden layer, whose input carriers are
-    the broadcast identity (g) and zero (q).
+    the broadcast identity (g) and zero (q). Every layer of the narrow cases
+    goes through Phi, apart from the factored input layer of K_n and K_t;
+    the 40 x 40 hidden layer takes the factored sum (pinned below).
     """
 
     @pytest.mark.parametrize("act,d,hidden", ORACLE_CASES)
@@ -363,3 +366,38 @@ def test_kernel_assembly_never_materializes_jacobians(monkeypatch, poisson, quad
         kernels.assemble_kr(p, poisson, quad_pair, pts, path=path)
     kernels.component_kernels(p, pts)
     kernels.assemble_bundle(p, quad_pair, poisson, pts)
+
+
+def _factored_layers(monkeypatch, assemble):
+    """(n_l, n_{l-1}) of every layer that ``assemble()`` contracts by the factored sum."""
+    seen = []
+    accumulate = net._accumulate_layer_grams
+
+    def recording(out, plan, lefts, rights, scratch):
+        seen.append((lefts[0].shape[-1], rights[0].shape[-1]))
+        return accumulate(out, plan, lefts, rights, scratch)
+
+    monkeypatch.setattr(net, "_accumulate_layer_grams", recording)
+    assemble()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("d,hidden,n_axis", [(1, (500, 500), 100), (2, (64, 64), 24), (3, (64, 64), 12),
+                                             (1, (40, 40), 14), (2, (40, 40), 5), (3, (40, 40), 4)])
+def test_contraction_per_layer(monkeypatch, d, hidden, n_axis):
+    # The benchmark shapes (1D 2x500 on 98 points, 2D and 3D 2x64 on 484
+    # and 1000) and the 40 x 40 oracle case: the hidden layer is always
+    # factored, the thin layers of K_r and of the component kernels go
+    # through Phi, and so does the output layer of K_n and K_t, whose
+    # rank-one input layer is cheaper factored.
+    bench, family = ORACLE_SETUPS[d]
+    prob, pair = pde.benchmark(bench), boundary.make_pair(family, {"alpha": 3.0})
+    x = boundary.trim_boundary(boundary.grid(d, n_axis, include_boundary=True))
+    p = net.init_kaiming_uniform((d, *hidden, 1), "tanh", 0)
+    hidden_layer, input_layer = (hidden[1], hidden[0]), (hidden[0], d)
+    assert _factored_layers(monkeypatch, lambda: kernels.assemble_kr(p, prob, pair, x)) == [hidden_layer]
+    assert _factored_layers(monkeypatch, lambda: kernels.component_kernels(p, x)) == [hidden_layer]
+    for assemble in (lambda: kernels.assemble_kn(p, x),
+                     lambda: kernels.assemble_kt(p, pair, x, path="direct")):
+        assert _factored_layers(monkeypatch, assemble) == [hidden_layer, input_layer]

@@ -25,8 +25,14 @@ from conftest import random_psd, random_sym
 class TestSymMatrix:
     def test_mirrors_upper_triangle(self):
         m = SymMatrix([[1.0, 2.0], [999.0, 3.0]])
-        assert m.entry(1, 0) == 2.0
+        assert m.a[1, 0] == 2.0
         assert np.array_equal(m.a, m.a.T)
+
+    def test_symmetric_array_held_without_copy(self):
+        a = np.array([[1.0, 2.0], [2.0, 3.0]])
+        assert SymMatrix(a).a is a
+        b = np.array([[1.0, 2.0], [2.0 + 1e-15, 3.0]])
+        assert not np.shares_memory(SymMatrix(b).a, b)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidMatrix):

@@ -1,7 +1,8 @@
 """Boundary-function pairs with analytic derivatives, features, and grids.
 
-Every family is a product of one-dimensional factors, so gradients and
-Laplacians assemble by the product rule from exact 1D factor derivatives.
+Every family is a product of one-dimensional factors, one per axis (the
+``FAMILIES`` table names them all), so gradients and Laplacians assemble by
+the product rule from exact 1D factor derivatives.
 """
 
 from dataclasses import dataclass
@@ -9,25 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-
-FAMILY_DIMS = {
-    "power": 1,
-    "power_asym": 1,
-    "trig": 1,
-    "rational": 1,
-    "exponential": 1,
-    "tanh": 1,
-    "power2d": 2,
-    "mixed_power2d": 2,
-    "tanh2d": 2,
-    "mixed_power_sym3d": 3,
-    "mixed_power_asym3d": 3,
-    "tanh3d": 3,
-}
-
-# Families whose 1D factors violate B(1) = 0; kept for spectral studies only.
-ASYMMETRIC_AT_ONE = {"power_asym"}
-
 
 def _scaled_power(coef, base, expo):
     # coef * base**expo with the convention that a zero coefficient kills the
@@ -127,97 +109,64 @@ def _tanh_factor(a):
     return ev
 
 
-def _check_positive(family, name, value):
-    if value <= 0.0:
-        raise ConfigError(f"{family}: parameter {name} must be positive, got {value}")
+# The one table of boundary families. Each maps to its 1D factor
+# constructor, the parameter each axis reads (so the family's dimension is
+# the length of that tuple), and whether 0 is an allowed parameter value.
+FAMILIES = {
+    "power": (_power_sym_factor, ("alpha",), False),
+    "power_asym": (_power_asym_factor, ("alpha",), False),
+    "trig": (_trig_factor, ("alpha",), False),
+    "rational": (_rational_factor, ("alpha",), True),
+    "exponential": (_exponential_factor, ("alpha",), True),
+    "tanh": (_tanh_factor, ("alpha",), False),
+    "power2d": (_power_sym_factor, ("alpha", "alpha"), False),
+    "mixed_power2d": (_power_sym_factor, ("alpha", "beta"), False),
+    "tanh2d": (_tanh_factor, ("alpha", "alpha"), False),
+    "mixed_power_sym3d": (_power_sym_factor, ("alpha", "alpha", "alpha"), False),
+    "mixed_power_asym3d": (_power_sym_factor, ("alpha", "beta", "gamma"), False),
+    "tanh3d": (_tanh_factor, ("alpha", "alpha", "alpha"), False),
+}
 
-
-def _check_nonnegative(family, name, value):
-    if value < 0.0:
-        raise ConfigError(f"{family}: parameter {name} must be >= 0, got {value}")
-
-
-def _build_factors(family, params):
-    alpha = params.get("alpha")
-    if family == "power":
-        _check_positive(family, "alpha", alpha)
-        return [_power_sym_factor(alpha)]
-    if family == "power_asym":
-        _check_positive(family, "alpha", alpha)
-        return [_power_asym_factor(alpha)]
-    if family == "trig":
-        _check_positive(family, "alpha", alpha)
-        return [_trig_factor(alpha)]
-    if family == "rational":
-        _check_nonnegative(family, "alpha", alpha)
-        return [_rational_factor(alpha)]
-    if family == "exponential":
-        _check_nonnegative(family, "alpha", alpha)
-        return [_exponential_factor(alpha)]
-    if family == "tanh":
-        _check_positive(family, "alpha", alpha)
-        return [_tanh_factor(alpha)]
-    if family == "power2d":
-        _check_positive(family, "alpha", alpha)
-        return [_power_sym_factor(alpha)] * 2
-    if family == "mixed_power2d":
-        beta = params.get("beta")
-        _check_positive(family, "alpha", alpha)
-        _check_positive(family, "beta", beta)
-        return [_power_sym_factor(alpha), _power_sym_factor(beta)]
-    if family == "tanh2d":
-        _check_positive(family, "alpha", alpha)
-        return [_tanh_factor(alpha)] * 2
-    if family == "mixed_power_sym3d":
-        _check_positive(family, "alpha", alpha)
-        return [_power_sym_factor(alpha)] * 3
-    if family == "mixed_power_asym3d":
-        beta = params.get("beta")
-        gamma = params.get("gamma")
-        _check_positive(family, "alpha", alpha)
-        _check_positive(family, "beta", beta)
-        _check_positive(family, "gamma", gamma)
-        return [_power_sym_factor(alpha), _power_sym_factor(beta), _power_sym_factor(gamma)]
-    if family == "tanh3d":
-        _check_positive(family, "alpha", alpha)
-        return [_tanh_factor(alpha)] * 3
-    raise ConfigError(f"unknown boundary family '{family}'")
+# Families built from the x**p factor violate B(1) = 0; they are kept for
+# spectral studies only.
+ASYMMETRIC_AT_ONE = {name for name, (factor, _, _) in FAMILIES.items()
+                     if factor is _power_asym_factor}
 
 
 @dataclass
 class BoundaryPair:
-    """Boundary functions A and B with exact gradient and Laplacian of B.
+    """The boundary function B with its exact gradient and Laplacian.
 
-    A is the boundary-data offset; None means A == 0 (all homogeneous
-    benchmarks). B vanishes on the domain boundary and is positive inside
-    (power_asym excepted at x = 1; it is barred from training configs).
+    B vanishes on the domain boundary and is positive inside (power_asym
+    excepted at x = 1; it is barred from training configs). It takes
+    (N, dim) points; points of another dimension raise ConfigError.
     """
 
     family: str
     params: dict
     dim: int
-    factors: list
-    a_funcs: tuple | None = None  # (value, grad, lap) callables for A
+    factors: list  # the 1D factor of each axis
 
-    def _factor_table(self, x, order):
+    def _factor_table(self, points, order):
+        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if x.shape[1] != self.dim:
+            raise ConfigError(f"points have dimension {x.shape[1]}, "
+                              f"family '{self.family}' is {self.dim}-dimensional")
         # singular derivatives at the boundary (alpha < 1 powers) are
         # legitimate inf results, detected by consumers; suppress the noise
         with np.errstate(divide="ignore", invalid="ignore"):
             return [f(x[:, m], order) for m, f in enumerate(self.factors)]
 
     def value(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        table = self._factor_table(x, 0)
+        table = self._factor_table(points, 0)
         out = table[0][0].copy()
         for q, _, _ in table[1:]:
             out *= q
         return out
 
     def grad(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        table = self._factor_table(x, 1)
-        n = x.shape[0]
-        out = np.empty((n, self.dim))
+        table = self._factor_table(points, 1)
+        out = np.empty((len(table[0][0]), self.dim))
         for m in range(self.dim):
             acc = table[m][1].copy()
             for k in range(self.dim):
@@ -227,10 +176,8 @@ class BoundaryPair:
         return out
 
     def lap(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        table = self._factor_table(x, 2)
-        n = x.shape[0]
-        out = np.zeros(n)
+        table = self._factor_table(points, 2)
+        out = np.zeros(len(table[0][0]))
         for m in range(self.dim):
             acc = table[m][2].copy()
             for k in range(self.dim):
@@ -239,31 +186,13 @@ class BoundaryPair:
             out += acc
         return out
 
-    def a_value(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.a_funcs is None:
-            return np.zeros(x.shape[0])
-        return self.a_funcs[0](x)
-
-    def a_grad(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.a_funcs is None:
-            return np.zeros((x.shape[0], self.dim))
-        return self.a_funcs[1](x)
-
-    def a_lap(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.a_funcs is None:
-            return np.zeros(x.shape[0])
-        return self.a_funcs[2](x)
-
 
 @dataclass
 class BoundaryFeatures:
     """Geometric features of B and of its second derivative on a fixed grid.
 
     TV and Gini in more than one dimension flatten the grid in lexicographic
-    order; the ordering tag records this.
+    order.
     """
 
     grad_l2: float
@@ -273,7 +202,6 @@ class BoundaryFeatures:
     curv_l2: float
     b2_max: float
     b2_tv: float
-    ordering: str = "lexicographic"
 
     def as_dict(self):
         return {
@@ -287,22 +215,29 @@ class BoundaryFeatures:
         }
 
 
-def make_pair(family, params, dim=None, a_funcs=None):
-    """Construct a boundary pair from a family name and parameter dict."""
-    if family not in FAMILY_DIMS:
+def make_pair(family, params):
+    """Construct a boundary pair from a family name and parameter dict.
+
+    The parameters must be exactly the ones the family's axes read, each a
+    finite number above 0 (or at 0, where the family allows it).
+    """
+    if family not in FAMILIES:
         raise ConfigError(f"unknown boundary family '{family}'")
-    family_dim = FAMILY_DIMS[family]
-    if dim is not None and dim != family_dim:
-        raise ConfigError(f"family '{family}' is {family_dim}-dimensional, got dim={dim}")
-    params = {k: float(v) for k, v in params.items()}
-    for key in params:
-        if key not in ("alpha", "beta", "gamma"):
-            raise ConfigError(f"unknown boundary parameter '{key}'")
-    if "alpha" not in params:
-        raise ConfigError(f"family '{family}' requires parameter 'alpha'")
-    factors = _build_factors(family, params)
-    return BoundaryPair(family=family, params=params, dim=family_dim, factors=factors,
-                        a_funcs=a_funcs)
+    factor, axes, zero_ok = FAMILIES[family]
+    if set(params) != set(axes):
+        raise ConfigError(
+            f"family '{family}' takes parameters {sorted(set(axes))}, got {list(params)}"
+        )
+    try:
+        params = {k: float(v) for k, v in params.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{family}: parameters must be numbers ({exc})") from exc
+    for key, value in params.items():
+        if not (np.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+            bound = ">= 0" if zero_ok else "positive"
+            raise ConfigError(f"{family}: parameter {key} must be finite and {bound}, got {value}")
+    return BoundaryPair(family=family, params=params, dim=len(axes),
+                        factors=[factor(params[key]) for key in axes])
 
 
 def gini_coefficient(samples):

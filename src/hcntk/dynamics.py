@@ -58,12 +58,6 @@ def analytic_residual(dec: ModalDecomposition, t) -> np.ndarray:
     return dec.spectrum.eigenvectors @ (dec.coeffs * np.exp(-rates * t))
 
 
-def analytic_loss(dec: ModalDecomposition, t) -> float:
-    """J(t) = (1/N_r) sum_k c_k^2 exp(-(4 eta / N_r) lambda_k t)."""
-    rates = (4.0 * dec.eta / dec.n_r) * dec.spectrum.eigenvalues
-    return float(np.sum(dec.coeffs**2 * np.exp(-rates * t)) / dec.n_r)
-
-
 def integrate_frozen(kr: SymMatrix, r0, eta, n_r, t_end, dt):
     """Numeric trajectory of the frozen-kernel linear ODE (classical RK4).
 

@@ -287,13 +287,13 @@ def run_kn_invariance_activation(cfg, out_dir):
 def _spectrum_sweep(cfg, out_dir, which):
     seeds = _seeds(cfg)
     problem = pde.benchmark(cfg["benchmark"]) if which == "kr" else None
-    dim = problem.dim if problem else boundary.FAMILY_DIMS[cfg["families"][0]["family"]]
+    pairs = [boundary.make_pair(fam["family"], fam.get("params", {})) for fam in cfg["families"]]
+    dim = problem.dim if problem else pairs[0].dim
     points = _grid_of(cfg, dim)
     sizes = network_sizes(cfg, input_dim=dim)
     activation = cfg["network"].get("activation", "tanh")
     rows, extra, failures = [], [], []
-    for fam in cfg["families"]:
-        pair = boundary.make_pair(fam["family"], fam.get("params", {}))
+    for fam, pair in zip(cfg["families"], pairs):
         feats = boundary.features(pair, points).as_dict()
         for seed in seeds:
             coords = _fam_coords(fam)
@@ -387,14 +387,14 @@ def run_kr_spectrum(cfg, out_dir):
     return ExperimentResult("kr-spectrum", rows, _SWEEP_COLS, metrics, failures, extra)
 
 
-def correlate_rows(rows, features, targets, stratify="family"):
-    """Spearman rho per (feature, target), overall and per stratum."""
+def correlate_rows(rows, features, targets):
+    """Spearman rho per (feature, target), overall and per family."""
     out = []
     ok_rows = [r for r in rows if r.get("status", "ok") == "ok"]
     scopes = [("all", ok_rows)]
-    if stratify and any(stratify in r for r in ok_rows):
-        for value in sorted({r[stratify] for r in ok_rows}):
-            scopes.append((f"{stratify}={value}", [r for r in ok_rows if r[stratify] == value]))
+    if any("family" in r for r in ok_rows):
+        for value in sorted({r["family"] for r in ok_rows}):
+            scopes.append((f"family={value}", [r for r in ok_rows if r["family"] == value]))
     for feat in features:
         for targ in targets:
             for scope, rows_in in scopes:
@@ -519,7 +519,6 @@ def run_dynamics_sim(cfg, out_dir):
 
 def _train_config_from(cfg, fam, seed):
     tc = cfg.get("train", {})
-    problem_dim = pde.benchmark(cfg["benchmark"]).dim
     phases = tuple(
         train.Phase(p["kind"], int(p["steps"]), float(p.get("lr", 1e-3)))
         for p in tc.get("phases", [{"kind": "adam", "steps": 10000, "lr": 1e-3},

@@ -37,11 +37,6 @@ def write_matrix_csv(path, matrix):
     write_csv(path, [f"c{j}" for j in range(m.shape[1])], m.tolist())
 
 
-def read_matrix_csv(path):
-    _, rows = read_csv(path)
-    return np.array([[float(v) for v in row] for row in rows])
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}

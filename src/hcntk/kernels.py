@@ -33,7 +33,12 @@ from .linalg import SymMatrix
 
 @dataclass
 class TrialFunction:
-    """Hard-constraint ansatz u~ = A + B * N."""
+    """Hard-constraint ansatz u~ = B * N.
+
+    The general ansatz is A + B * N, with A matching the Dirichlet data.
+    Every benchmark has homogeneous data, so A = 0; and A does not depend
+    on the parameters, so it would not enter K_t or K_r either.
+    """
 
     pair: object
     params: object
@@ -46,41 +51,28 @@ class TrialEval:
     lap: np.ndarray  # (N,)
 
 
-@dataclass
-class KernelBundle:
-    kn: SymMatrix
-    kt: SymMatrix
-    kr: SymMatrix
-    points: np.ndarray
-
-
 def _symmetrize(k):
     s = k + k.T
     s *= 0.5
     return SymMatrix(s)
 
 
-def trial_eval(trial, points, state=None):
+def trial_eval(trial, points):
     """Trial value, gradient, and Laplacian.
 
-    u~    = A + B N
-    grad  = grad A + N grad B + B grad N
-    lap   = lap A + N lap B + 2 grad B . grad N + B lap N
+    u~    = B N
+    grad  = N grad B + B grad N
+    lap   = N lap B + 2 grad B . grad N + B lap N
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     pair = trial.pair
-    st = state if state is not None else net.forward(trial.params, x, order=2)
+    st = net.forward(trial.params, x, order=2)
     b = pair.value(x)
     gb = pair.grad(x)
     lb = pair.lap(x)
-    value = pair.a_value(x) + b * st.value
-    grad = pair.a_grad(x) + st.value[:, None] * gb + b[:, None] * st.grad
-    lap = (
-        pair.a_lap(x)
-        + st.value * lb
-        + 2.0 * np.sum(gb * st.grad, axis=1)
-        + b * st.lap
-    )
+    value = b * st.value
+    grad = st.value[:, None] * gb + b[:, None] * st.grad
+    lap = st.value * lb + 2.0 * np.sum(gb * st.grad, axis=1) + b * st.lap
     return TrialEval(value=value, grad=grad, lap=lap)
 
 
@@ -189,13 +181,3 @@ def assemble_kr(params, problem, pair, points, path="direct"):
         return SymMatrix(k[0])
     raise ValueError(f"unknown path '{path}'")
 
-
-def assemble_bundle(params, pair, problem, points):
-    """All three kernels over one collocation set (K_t and K_r by the direct path)."""
-    x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return KernelBundle(
-        kn=assemble_kn(params, x),
-        kt=assemble_kt(params, pair, x, path="direct"),
-        kr=assemble_kr(params, problem, pair, x, path="direct"),
-        points=x,
-    )

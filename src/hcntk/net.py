@@ -38,10 +38,6 @@ class Activation:
         self.max_order = max_order  # highest usable input-derivative order
         self._s3_is_s2 = s3_is_s2  # piecewise-exponential: s3 equals s2 and is returned as it
 
-    @property
-    def smooth(self):
-        return self.max_order >= 2
-
     def n_arrays(self, order):
         """Number of arrays ``eval_derivs`` writes at ``order``: a, s1, then s2 and s3."""
         if order < 2:

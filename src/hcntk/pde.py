@@ -45,7 +45,7 @@ class LinearOperator:
 
 @dataclass
 class Problem:
-    """A PDE with Dirichlet data, its source, and (optionally) the exact solution."""
+    """A PDE with zero Dirichlet data, its source, and (optionally) the exact solution."""
 
     name: str
     dim: int
@@ -54,13 +54,6 @@ class Problem:
     exact: object | None = None  # u(points) -> (N,)
     exact_grad: object | None = None
     exact_lap: object | None = None
-    boundary_data: object | None = None  # g(points) -> (N,); None means zero
-
-    def g(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.boundary_data is None:
-            return np.zeros(x.shape[0])
-        return self.boundary_data(x)
 
     def self_check(self, n_points=100, seed=0, tol=1e-8):
         """Verify op[exact] == source at random interior points."""
@@ -100,12 +93,6 @@ def coefficients(op, pair, points):
             idx = int(np.argwhere(bad)[0][0])
             raise SingularCoefficient(idx)
     return CoefficientField(alpha=alpha, beta=beta, gamma=gamma)
-
-
-def residual(problem, points, value, grad, lap):
-    """R_i = c0 u_i + c1 . grad u_i + c2 lap u_i - f_i for trial values at the points."""
-    x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return problem.op.apply(np.asarray(value), np.asarray(grad), np.asarray(lap), x) - problem.source(x)
 
 
 def dump_coefficients(op, pair, points, path):

@@ -202,22 +202,45 @@ class TestValidation:
             boundary.make_pair("spline", {"alpha": 1.0})
 
     def test_out_of_range_parameter(self):
-        with pytest.raises(ConfigError):
-            boundary.make_pair("power", {"alpha": -1.0})
-        with pytest.raises(ConfigError):
-            boundary.make_pair("rational", {"alpha": -0.5})
+        for family, params in [
+            ("power", {"alpha": -1.0}),
+            ("rational", {"alpha": -0.5}),
+            ("power", {"alpha": 0.0}),
+            ("power", {"alpha": float("nan")}),
+            ("exponential", {"alpha": float("nan")}),
+            ("tanh", {"alpha": float("inf")}),
+            ("mixed_power2d", {"alpha": 1.0, "beta": 0.0}),
+            ("trig", {"alpha": "steep"}),
+        ]:
+            with pytest.raises(ConfigError):
+                boundary.make_pair(family, params)
 
     def test_unknown_parameter_key(self):
         with pytest.raises(ConfigError):
             boundary.make_pair("power", {"alpha": 1.0, "delta": 2.0})
+        with pytest.raises(ConfigError):  # a parameter the family does not read
+            boundary.make_pair("power", {"alpha": 1.0, "beta": 2.0})
 
     def test_missing_alpha(self):
-        with pytest.raises(ConfigError):
-            boundary.make_pair("power", {})
+        for family, params in [
+            ("power", {}),
+            ("mixed_power2d", {"alpha": 1.0}),
+            ("mixed_power_asym3d", {"alpha": 1.0, "beta": 2.0}),
+            ("mixed_power2d", {"beta": 2.0}),
+        ]:
+            with pytest.raises(ConfigError):
+                boundary.make_pair(family, params)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            boundary.make_pair("power", {"alpha": 1.0}, dim=2)
+        # points whose dimension is not the family's are rejected, not
+        # read column by column
+        for family, params, dim in [("power", {"alpha": 1.0}, 2), ("tanh2d", {"alpha": 3.0}, 1),
+                                    ("tanh3d", {"alpha": 3.0}, 2)]:
+            pair = boundary.make_pair(family, params)
+            x = np.full((4, dim), 0.5)
+            for evaluate in (pair.value, pair.grad, pair.lap):
+                with pytest.raises(ConfigError):
+                    evaluate(x)
 
     def test_rational_alpha_zero_degenerates_to_quadratic(self):
         # cross-family consistency: rational alpha=0 equals power alpha=1

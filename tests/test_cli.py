@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import yaml
 
@@ -68,6 +69,20 @@ class TestInvarianceVerb:
         cfg = write_cfg(tmp_path, "c.yaml", bad)
         assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("families,extra", [
+        ([{"family": "spline", "params": {"alpha": 1.0}}], {}),
+        ([{"family": "mixed_power2d", "params": {"alpha": 1.0}}], {}),
+        ([{"family": "power", "params": {"alpha": 1.0}},
+          {"family": "power2d", "params": {"alpha": 1.0}}], {}),
+        ([{"family": "power", "params": {"alpha": 1.0}}],
+         {"kind": "kr-spectrum", "benchmark": "diffusion2d"}),
+    ], ids=["unknown-family", "missing-beta", "mixed-dims", "1d-family-on-2d-benchmark"])
+    def test_bad_family_exit_code(self, tmp_path, capsys, families, extra):
+        cfg = write_cfg(tmp_path, "c.yaml", kt_cfg(families=families, **extra))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "rows.csv").exists()
+
 
 class TestDeterminism:
     def test_rerun_byte_identical_rows(self, tmp_path):
@@ -90,7 +105,8 @@ class TestNtkVerbPersistsKernels:
         assert len(files) == 3
         # spectral metrics recompute identically from the persisted CSV
         row = rows[1]
-        mat = io.read_matrix_csv(kdir / f"kt_power_alpha{float(row[idx['alpha']]):g}_s0.csv")
+        mat = np.loadtxt(kdir / f"kt_power_alpha{float(row[idx['alpha']]):g}_s0.csv",
+                         delimiter=",", skiprows=1)
         rep = eig_sym(SymMatrix(mat))
         assert rep.eff_rank == pytest.approx(float(row[idx["eff_rank"]]), rel=1e-12)
         assert rep.trace == pytest.approx(float(row[idx["trace"]]), rel=1e-12)

@@ -100,7 +100,8 @@ class TestIntegrateFrozen:
         times, traj = dynamics.integrate_frozen(k, r0, eta, 6, t_end, dt=t_end / 5000)
         losses = dynamics.trajectory_loss(traj, 6)
         for idx in (0, len(times) // 3, -1):
-            assert losses[idx] == pytest.approx(dynamics.analytic_loss(dec, times[idx]), rel=1e-3)
+            modal = dynamics.trajectory_loss(dynamics.analytic_residual(dec, times[idx])[None], 6)[0]
+            assert losses[idx] == pytest.approx(modal, rel=1e-3)
 
     def test_euler_instability_detected(self):
         k = SymMatrix(np.diag([100.0, 1.0]))
@@ -154,6 +155,7 @@ class TestPredict:
         dec = dynamics.decompose(k, r0, eta, n_r=n)
         pred = dynamics.predict(dec)
         ts = np.linspace(5 * pred.t_conv, 8 * pred.t_conv, 20)
-        logs = np.log([dynamics.analytic_loss(dec, t) for t in ts])
+        traj = np.array([dynamics.analytic_residual(dec, t) for t in ts])
+        logs = np.log(dynamics.trajectory_loss(traj, n))
         slope = np.polyfit(ts, logs, 1)[0]
         assert slope == pytest.approx(-pred.loss_rate, rel=0.05)

@@ -63,8 +63,25 @@ class TestInvarianceRunners:
         }
         res = experiments.run_kn_invariance_seed(cfg, str(tmp_path))
         assert any("mean" in f for f in res.extra_files)
-        mean = io.read_matrix_csv(res.extra_files[0])
+        mean = np.loadtxt(res.extra_files[0], delimiter=",", skiprows=1)
         assert mean.shape == (8, 8)
+
+
+class TestSpectrumSweep:
+    def test_kt_grid_takes_the_family_dimension(self, tmp_path):
+        # kt-spectrum has no benchmark: the grid's dimension is the families'
+        cfg = {
+            "schema_version": 1,
+            "kind": "kt-spectrum",
+            "seeds": [0],
+            "network": base_net(),
+            "grid": {"n_per_axis": 5, "mode": "trimmed"},
+            "families": [{"family": "power2d", "params": {"alpha": 1.0}},
+                         {"family": "mixed_power2d", "params": {"alpha": 1.0, "beta": 2.0}}],
+        }
+        res = experiments.run_kt_spectrum(cfg, str(tmp_path))
+        assert [r["status"] for r in res.rows] == ["ok", "ok"]
+        assert all(1 <= r["numerical_rank"] <= 9 for r in res.rows)  # 3 x 3 interior points
 
 
 class TestSeedMeanRows:
@@ -114,13 +131,13 @@ class TestCorrelateRows:
 
     def test_undefined_flagged(self):
         rows = [{"family": "a", "status": "ok", "x": 1.0, "y": float(i)} for i in range(4)]
-        out = experiments.correlate_rows(rows, ["x"], ["y"], stratify=None)
+        out = experiments.correlate_rows(rows, ["x"], ["y"])
         assert out[0]["status"] == "undefined"
         assert np.isnan(out[0]["rho"])
 
     def test_insufficient_rows_flagged(self):
         rows = [{"status": "ok", "x": 1.0, "y": 2.0}]
-        out = experiments.correlate_rows(rows, ["x"], ["y"], stratify=None)
+        out = experiments.correlate_rows(rows, ["x"], ["y"])
         assert out[0]["status"] == "insufficient"
 
 

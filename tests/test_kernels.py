@@ -152,8 +152,9 @@ class TestAssembleKr:
 
     def test_psd_all_three(self, poisson, quad_pair, pts):
         p = make_params(5)
-        bundle = kernels.assemble_bundle(p, quad_pair, poisson, pts)
-        for mat in (bundle.kn, bundle.kt, bundle.kr):
+        for mat in (kernels.assemble_kn(p, pts),
+                    kernels.assemble_kt(p, quad_pair, pts, path="direct"),
+                    kernels.assemble_kr(p, poisson, quad_pair, pts, path="direct")):
             rep = eig_sym(mat)
             assert rep.lambda_min >= -1e-8 * rep.lambda_max
 
@@ -250,15 +251,6 @@ class TestKtInvarianceInheritsFromKn:
     def test_cka_floor_literal(self):
         kn_ckas, kt_ckas = self._cka_sets(8, 500)
         assert kt_ckas.min() >= kn_ckas.min()
-
-
-def test_bundle_contains_all_three(self=None):
-    prob = pde.benchmark("poisson1d_sin")
-    pair = boundary.make_pair("power", {"alpha": 1.0})
-    grid = boundary.trim_boundary(boundary.grid(1, 14, include_boundary=True))
-    p = make_params(1, sizes=(1, 12, 1))
-    bundle = kernels.assemble_bundle(p, pair, prob, grid)
-    assert bundle.kn.n == bundle.kt.n == bundle.kr.n == len(grid)
 
 
 ORACLE_ACTIVATIONS = ("tanh", "sigmoid", "elu", "selu")
@@ -365,7 +357,6 @@ def test_kernel_assembly_never_materializes_jacobians(monkeypatch, poisson, quad
         kernels.assemble_kt(p, quad_pair, pts, path=path)
         kernels.assemble_kr(p, poisson, quad_pair, pts, path=path)
     kernels.component_kernels(p, pts)
-    kernels.assemble_bundle(p, quad_pair, poisson, pts)
 
 
 def _factored_layers(monkeypatch, assemble):

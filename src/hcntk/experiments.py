@@ -551,18 +551,26 @@ _TRAIN_COLS = ["family", "alpha", "beta", "gamma", "seed", "status", "final_loss
                *FEATURE_COLS]
 
 
-def _train_row(cfg, fam, seed, out_dir, index, failures):
+def _family_features(cfg):
+    """Each family's boundary features on the study's grid, in config order.
+
+    Building every family's pair before the first training makes a bad
+    family a config error before any run is spent or recorded.
+    """
+    points = _grid_of(cfg, pde.benchmark(cfg["benchmark"]).dim)
+    pairs = [boundary.make_pair(fam["family"], fam.get("params", {})) for fam in cfg["families"]]
+    return [boundary.features(pair, points).as_dict() for pair in pairs]
+
+
+def _train_row(cfg, fam, feats, seed, index, failures):
     """The result row of one training run, which becomes row ``index``, and its record.
 
-    A run that fails gets its status in the row, its cause in
-    ``failures`` and no record.
+    ``feats`` are the family's boundary features. A run that fails gets its
+    status in the row, its cause in ``failures`` and no record.
     """
     row = {**_fam_coords(fam), "seed": seed, "status": "ok",
-           **{c: float("nan") for c in _TRAIN_COLS[6:]}}
+           **{c: float("nan") for c in _TRAIN_COLS[6:]}, **feats}
     problem = pde.benchmark(cfg["benchmark"])
-    pair = boundary.make_pair(fam["family"], fam.get("params", {}))
-    feat_grid = _grid_of(cfg, problem.dim)
-    row.update(boundary.features(pair, feat_grid).as_dict())
     tcfg = _train_config_from(cfg, fam, seed)
     try:
         rec = train.run(tcfg)
@@ -588,10 +596,10 @@ def _train_row(cfg, fam, seed, out_dir, index, failures):
 
 def run_train_study(cfg, out_dir):
     rows, failures = [], []
-    for fam in cfg["families"]:
+    for fam, feats in zip(cfg["families"], _family_features(cfg)):
         for seed in _seeds(cfg):
             _log(f"  training {_fam_tag(fam)} seed={seed}")
-            row, rec = _train_row(cfg, fam, seed, out_dir, len(rows), failures)
+            row, rec = _train_row(cfg, fam, feats, seed, len(rows), failures)
             if rec is not None:
                 run_dir = os.path.join(out_dir, "runs")
                 train.write_record(rec, run_dir, tag=f"{_fam_tag(fam)}_s{seed}")
@@ -614,6 +622,7 @@ def run_train_study(cfg, out_dir):
 
 def run_optimizer_compare(cfg, out_dir):
     fam = cfg["families"][0]
+    feats = _family_features(cfg)[0]
     seed = _seeds(cfg)[0]
     rows = []
     metrics = {}
@@ -623,7 +632,7 @@ def run_optimizer_compare(cfg, out_dir):
         sub = dict(cfg)
         sub["train"] = dict(cfg.get("train", {}))
         sub["train"]["phases"] = strat["phases"]
-        row, rec = _train_row(sub, fam, seed, out_dir, len(rows), failures)
+        row, rec = _train_row(sub, fam, feats, seed, len(rows), failures)
         row = {"strategy": name, **row}
         if rec is not None:
             train.write_record(rec, os.path.join(out_dir, "runs"), tag=name)

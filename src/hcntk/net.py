@@ -267,15 +267,24 @@ def _take(ws, key, shape):
 
 
 def _matmul(a, b, out):
-    """``a @ b`` into ``out``.
+    """``a @ b`` into ``out`` as one 2-D product over the leading axes of ``a``.
+
+    Stacked operands, the (N, d, w) input-Jacobian carriers and the
+    (C, N, d, w) adjoints, make one (C N d, w) GEMM rather than a small
+    matmul per point, rounded differently from the stacked product. ``out``
+    must be C-contiguous: the result is written through its reshape, which
+    would otherwise be a copy.
 
     An inner dimension of 1 (a 1D input layer, the scalar output layer)
     makes every entry a single product, which one einsum forms with the
     same values as the matmul and without its per-matrix call overhead.
     """
+    if not out.flags.c_contiguous:
+        raise ValueError("_matmul writes through a reshape of out, which must be C-contiguous")
     if a.shape[-1] == 1:
         return np.einsum("...i,ij->...j", a, b, out=out)
-    return np.matmul(a, b, out=out)
+    np.matmul(a.reshape(-1, a.shape[-1]), b, out=out.reshape(-1, b.shape[-1]))
+    return out
 
 
 class ForwardState:

@@ -226,6 +226,32 @@ class TestTrainVerb:
         runs = list((tmp_path / "out" / "runs").glob("*_summary.json"))
         assert len(runs) == 1
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("train-study", {}),
+        ("optimizer-compare", {"strategies": [
+            {"name": "adam", "phases": [{"kind": "adam", "steps": 40, "lr": 1e-3}]}]}),
+    ])
+    def test_late_bad_family_fails_before_training(self, tmp_path, capsys, kind, extra):
+        # every family is checked before the first one trains, so nothing is recorded
+        cfg_dict = {
+            "schema_version": 1,
+            "kind": kind,
+            "benchmark": "poisson1d_sin",
+            "seeds": [0],
+            "network": {"hidden": [12, 12], "activation": "tanh"},
+            "grid": {"n_per_axis": 16, "mode": "trimmed"},
+            "families": [{"family": "power", "params": {"alpha": 1.0}},
+                         {"family": "power", "params": {"alpha": -1.0}}],
+            "train": {"phases": [{"kind": "adam", "steps": 40, "lr": 1e-3}],
+                      "test_points": 100},
+            **extra,
+        }
+        cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "runs").exists()
+        assert not (tmp_path / "out" / "rows.csv").exists()
+
     def test_divergence_becomes_status_row(self, tmp_path):
         cfg_dict = {
             "schema_version": 1,

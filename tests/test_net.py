@@ -315,3 +315,37 @@ def test_laplacian_carriers_match_hessian_pass(rng, activation, sizes):
     want = wv @ jv + np.einsum("nm,nmp->p", wg, jg) + wl @ jl
     assert close(net.weighted_residual_gradient(params, st, wv, wg, wl), want)
     assert close(net.weighted_residual_gradient(params, st, None, None, wl), wl @ jl)
+
+
+def _stacked_shapes():
+    n, c = 40, 3
+    for w in (1, 64, 500):
+        yield pytest.param((c, n, w), w, id=f"C-N-w{w}")
+        for d in (1, 2, 3):
+            yield pytest.param((n, d, w), w, id=f"N-d{d}-w{w}")
+            yield pytest.param((c, n, d, w), w, id=f"C-N-d{d}-w{w}")
+
+
+@pytest.mark.parametrize("shape,w", list(_stacked_shapes()))
+def test_matmul_flattens_stacked_products(rng, shape, w):
+    # The carrier and adjoint products are one GEMM over all leading axes:
+    # rounding apart, they equal the stacked matmul, written into out itself.
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal((w, w))
+    out = np.empty(shape[:-1] + (w,))
+    got = net._matmul(a, b, out=out)
+    assert got is out
+    want = np.matmul(a, b)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    # the forward pass multiplies by a transposed weight view
+    want = np.matmul(a, b.T)
+    assert np.linalg.norm(net._matmul(a, b.T, out=out) - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("w", [1, 64])
+def test_matmul_rejects_non_contiguous_out(rng, w):
+    a = rng.standard_normal((5, 2, w))
+    b = rng.standard_normal((w, 4))
+    out = np.empty((5, 4, 2)).transpose(0, 2, 1)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        net._matmul(a, b, out=out)

@@ -1,9 +1,11 @@
 """Command-line experiment runner.
 
-Verbs: ntk, spectrum, dynamics, train, invariance, correlate, report.
-Each takes --config <path> and --out <dir>; --seed overrides the config's
-seed list for ad-hoc runs. `ntk` is `spectrum` with kernel persistence
-forced on, so every assembled matrix lands on disk as CSV.
+Verbs: ntk, spectrum, dynamics, train, invariance, report.
+Each run verb takes --config <path> and --out <dir>; --seed overrides the
+config's seed list for ad-hoc runs. `spectrum` runs K_t / K_r sweeps and
+writes the boundary-feature correlations of each to correlations.csv; `ntk`
+is `spectrum` with kernel persistence forced on, so every assembled matrix
+lands on disk as CSV. `report` consolidates result directories (--dir).
 
 Exit codes: 0 success, 1 config error, 2 run failures present (with ok
 rows), 3 I/O error. Environment: HCNTK_VERBOSE (0/1/2).
@@ -18,7 +20,7 @@ from .errors import ConfigError, HcntkError, SchemaError
 
 _VERB_KINDS = {
     "ntk": {"kt-spectrum", "kr-spectrum"},
-    "spectrum": {"kt-spectrum", "kr-spectrum", "kr-correlation"},
+    "spectrum": {"kt-spectrum", "kr-spectrum"},
     "dynamics": {"dynamics-sim"},
     "train": {"train-study", "optimizer-compare"},
     "invariance": {
@@ -27,7 +29,6 @@ _VERB_KINDS = {
         "kn-invariance-depth",
         "kn-invariance-activation",
     },
-    "correlate": {"kr-correlation"},
 }
 
 
@@ -44,11 +45,10 @@ def build_parser():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="verb", required=True)
     _add_run_verb(sub, "ntk", "assemble kernels for a spectrum config, persisting every matrix")
-    _add_run_verb(sub, "spectrum", "K_t / K_r spectrum sweeps")
+    _add_run_verb(sub, "spectrum", "K_t / K_r spectrum sweeps and their feature correlations")
     _add_run_verb(sub, "dynamics", "frozen-kernel dynamics simulation")
     _add_run_verb(sub, "train", "training studies and optimizer comparisons")
     _add_run_verb(sub, "invariance", "K_n initialization-invariance studies")
-    _add_run_verb(sub, "correlate", "correlation analysis over a sweep or an existing table")
     rp = sub.add_parser("report", help="consolidate result directories into one JSON report")
     rp.add_argument("--dir", required=True, help="directory of experiment results")
     rp.add_argument("--out", required=True, help="output directory")

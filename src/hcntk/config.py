@@ -11,19 +11,6 @@ from .errors import ConfigError
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "kn-invariance-seed",
-    "kn-invariance-width",
-    "kn-invariance-depth",
-    "kn-invariance-activation",
-    "kt-spectrum",
-    "kr-spectrum",
-    "kr-correlation",
-    "dynamics-sim",
-    "train-study",
-    "optimizer-compare",
-)
-
 _PHASE_KEYS = {"kind", "steps", "lr"}
 
 _SECTION_KEYS = {
@@ -31,7 +18,6 @@ _SECTION_KEYS = {
     "grid": {"n_per_axis", "mode"},
     "train": {"phases", "snapshot_epochs", "test_points", "divergence_factor"},
     "dynamics": {"eta", "t_end_frac", "n_steps"},
-    "correlate": {"features", "targets", "table"},
     "output": {"persist_kernels"},
 }
 
@@ -56,11 +42,12 @@ _REQUIRED = {
     "kn-invariance-activation": {"seeds", "activations", "network", "grid"},
     "kt-spectrum": {"families", "network", "grid"},
     "kr-spectrum": {"benchmark", "families", "network", "grid"},
-    "kr-correlation": {"benchmark", "families", "network", "grid", "correlate"},
     "dynamics-sim": {"benchmark", "families", "network", "grid", "dynamics"},
     "train-study": {"benchmark", "families", "seeds", "network", "grid", "train"},
     "optimizer-compare": {"benchmark", "families", "network", "grid", "strategies"},
 }
+
+KINDS = tuple(_REQUIRED)
 
 
 def _check_keys(mapping, allowed, path):
@@ -125,6 +112,11 @@ def validate(config):
         raise ConfigError("sweep list 'seeds' must be nonempty")
     if "families" in config and not config["families"]:
         raise ConfigError("sweep list 'families' must be nonempty")
+    if kind == "optimizer-compare":
+        for key in ("families", "seeds"):
+            if len(config.get(key, [])) > 1:
+                raise ConfigError(f"kind 'optimizer-compare' trains one family with one seed; "
+                                  f"'{key}' lists {len(config[key])}")
     return config
 
 

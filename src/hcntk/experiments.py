@@ -21,10 +21,8 @@ from .errors import (
     SingularCoefficient,
     UndefinedCorrelation,
 )
-from .linalg import SymMatrix, cka, eig_sym, ensemble_stats, pairwise_cka, spearman
+from .linalg import SPECTRUM_COLS, SymMatrix, cka, eig_sym, ensemble_stats, pairwise_cka, spearman
 
-SPECTRUM_COLS = ("kappa", "eff_rank", "trace", "frob", "lambda_max", "lambda_min",
-                 "lambda_min_retained", "numerical_rank")
 FEATURE_COLS = ("grad_l2", "tv", "gini", "dyn_range", "curv_l2", "b2_max", "b2_tv")
 
 
@@ -79,19 +77,6 @@ def _grid_of(cfg, dim):
 
 def _seeds(cfg):
     return [int(s) for s in cfg.get("seeds", [0])]
-
-
-def _spectrum_entries(rep):
-    return {
-        "kappa": rep.kappa,
-        "eff_rank": rep.eff_rank,
-        "trace": rep.trace,
-        "frob": rep.frob,
-        "lambda_max": rep.lambda_max,
-        "lambda_min": rep.lambda_min,
-        "lambda_min_retained": rep.lambda_min_retained,
-        "numerical_rank": rep.numerical_rank,
-    }
 
 
 def _fam_coords(fam):
@@ -157,9 +142,7 @@ def _kn_group_rows(cfg, out_dir, sweep_name, sweep_values, sizes_for):
         act = activation_for(value)
         mats = _kn_matrices(sizes, act, seeds, points)
         for seed, mat in zip(seeds, mats):
-            rep = eig_sym(mat)
-            row = {sweep_name: value, "seed": seed, "status": "ok"}
-            row.update(_spectrum_entries(rep))
+            row = {sweep_name: value, "seed": seed, "status": "ok", **eig_sym(mat).metrics()}
             rows.append(row)
         stats = ensemble_stats(mats)
         ckas = pairwise_cka(mats) if len(mats) > 1 else np.array([1.0])
@@ -305,8 +288,7 @@ def _spectrum_sweep(cfg, out_dir, which):
                     mat = kernels.assemble_kt(params, pair, points, path="composed")
                 else:
                     mat = kernels.assemble_kr(params, problem, pair, points, path="direct")
-                rep = eig_sym(mat)
-                row.update(_spectrum_entries(rep))
+                row.update(eig_sym(mat).metrics())
                 extra += _persist(cfg, out_dir, f"{which}_{_fam_tag(fam)}_s{seed}", mat)
                 if which == "kr" and cfg.get("output", {}).get("persist_kernels", False):
                     coeff_path = os.path.join(out_dir, "coefficients", f"{_fam_tag(fam)}.csv")
@@ -342,20 +324,10 @@ def _seed_mean_rows(rows, value_cols):
     return out
 
 
-def _sweep_metrics(rows, features, targets):
-    """Spearman correlations overall and per family, plus monotonicity flags."""
+def _sweep_metrics(mean_rows):
+    """Per-family monotonicity flags and extremes along alpha of seed-mean rows."""
     metrics = {}
-    mean_rows = _seed_mean_rows(rows, list(SPECTRUM_COLS) + list(FEATURE_COLS))
-    for feat in features:
-        for targ in targets:
-            rho, status = _safe_spearman(
-                [r[feat] for r in mean_rows], [r[targ] for r in mean_rows]
-            )
-            metrics[f"spearman_{feat}_{targ}"] = rho
-            if status != "ok":
-                metrics[f"spearman_{feat}_{targ}_status"] = status
-    families = sorted({r["family"] for r in mean_rows})
-    for fam in families:
+    for fam in sorted({r["family"] for r in mean_rows}):
         sub = [r for r in mean_rows if r["family"] == fam and r["alpha"] != ""]
         sub.sort(key=lambda r: float(r["alpha"]))
         if len(sub) >= 2:
@@ -369,22 +341,6 @@ def _sweep_metrics(rows, features, targets):
             metrics[f"kappa_max_{fam}"] = float(np.nanmax([r["kappa"] for r in sub]))
             metrics[f"kappa_alpha_min_{fam}"] = sub[0]["kappa"]
     return metrics
-
-
-_SWEEP_COLS = ["family", "alpha", "beta", "gamma", "seed", "status",
-               *SPECTRUM_COLS, *FEATURE_COLS]
-
-
-def run_kt_spectrum(cfg, out_dir):
-    rows, extra, failures = _spectrum_sweep(cfg, out_dir, "kt")
-    metrics = _sweep_metrics(rows, FEATURE_COLS, ("eff_rank", "kappa"))
-    return ExperimentResult("kt-spectrum", rows, _SWEEP_COLS, metrics, failures, extra)
-
-
-def run_kr_spectrum(cfg, out_dir):
-    rows, extra, failures = _spectrum_sweep(cfg, out_dir, "kr")
-    metrics = _sweep_metrics(rows, ("curv_l2", "b2_max", "b2_tv"), ("eff_rank", "kappa"))
-    return ExperimentResult("kr-spectrum", rows, _SWEEP_COLS, metrics, failures, extra)
 
 
 def correlate_rows(rows, features, targets):
@@ -408,33 +364,48 @@ def correlate_rows(rows, features, targets):
     return out
 
 
-def run_kr_correlation(cfg, out_dir):
-    cc = cfg["correlate"]
-    table = cc.get("table")
-    if table:
-        header, raw = io.read_csv(table)
-        rows = [dict(zip(header, row)) for row in raw]
-        for r in rows:
-            for k, v in r.items():
-                try:
-                    r[k] = float(v)
-                except (TypeError, ValueError):
-                    pass
-        failures, extra = [], []
-    else:
-        rows, extra, failures = _spectrum_sweep(cfg, out_dir, "kr")
-    mean_rows = _seed_mean_rows(rows, list(SPECTRUM_COLS) + list(FEATURE_COLS)) \
-        if not table else rows
-    corr = correlate_rows(mean_rows, cc["features"], cc["targets"])
+_SWEEP_COLS = ["family", "alpha", "beta", "gamma", "seed", "status",
+               *SPECTRUM_COLS, *FEATURE_COLS]
+_CORRELATION_COLS = ["feature", "target", "scope", "n", "rho", "status"]
+
+# The (features, targets) each sweep correlates.
+_CORRELATE = {
+    "kt": (FEATURE_COLS, ("eff_rank", "kappa")),
+    "kr": (("b2_max", "curv_l2", "b2_tv"), ("eff_rank", "kappa")),
+}
+
+
+def _run_spectrum(cfg, out_dir, which):
+    """A K_t or K_r sweep: rows per (family, seed), correlations over the seed means.
+
+    Every (feature, target, scope) correlation goes to ``correlations.csv``
+    and becomes the metric ``spearman_{feature}_{target}`` (scope ``all``)
+    or ``spearman_{feature}_{target}_{family}``, with a ``_status`` key when
+    it is not ``ok``.
+    """
+    rows, extra, failures = _spectrum_sweep(cfg, out_dir, which)
+    mean_rows = _seed_mean_rows(rows, SPECTRUM_COLS + FEATURE_COLS)
+    corr = correlate_rows(mean_rows, *_CORRELATE[which])
     corr_path = os.path.join(out_dir, "correlations.csv")
-    io.write_csv(corr_path, ["feature", "target", "scope", "n", "rho", "status"],
-                 [[c[k] for k in ("feature", "target", "scope", "n", "rho", "status")] for c in corr])
-    metrics = {}
+    io.write_csv(corr_path, _CORRELATION_COLS, [[c[k] for k in _CORRELATION_COLS] for c in corr])
+    metrics = _sweep_metrics(mean_rows)
     for c in corr:
-        if c["scope"] == "all":
-            metrics[f"spearman_{c['feature']}_{c['target']}"] = c["rho"]
-    res = ExperimentResult("kr-correlation", rows, _SWEEP_COLS, metrics, failures, extra + [corr_path])
-    return res
+        name = f"spearman_{c['feature']}_{c['target']}"
+        if c["scope"] != "all":
+            name += "_" + c["scope"].removeprefix("family=")
+        metrics[name] = c["rho"]
+        if c["status"] != "ok":
+            metrics[f"{name}_status"] = c["status"]
+    return ExperimentResult(f"{which}-spectrum", rows, _SWEEP_COLS, metrics, failures,
+                            extra + [corr_path])
+
+
+def run_kt_spectrum(cfg, out_dir):
+    return _run_spectrum(cfg, out_dir, "kt")
+
+
+def run_kr_spectrum(cfg, out_dir):
+    return _run_spectrum(cfg, out_dir, "kr")
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +515,9 @@ def _train_config_from(cfg, fam, seed):
     )
 
 
+_KR0_COLS = ("kappa", "eff_rank", "trace", "frob", "lambda_min", "lambda_min_retained")
 _TRAIN_COLS = ["family", "alpha", "beta", "gamma", "seed", "status", "final_loss", "final_l2",
-               "initial_loss", "epochs_run", "conv_rate",
-               *[f"kr0_{c}" for c in ("kappa", "eff_rank", "trace", "frob",
-                                       "lambda_min", "lambda_min_retained")],
+               "initial_loss", "epochs_run", "conv_rate", *[f"kr0_{c}" for c in _KR0_COLS],
                *FEATURE_COLS]
 
 
@@ -578,15 +548,14 @@ def _train_row(cfg, fam, feats, seed, index, failures):
         _fail(row, exc, index, failures)
         return row, None
     row["final_loss"] = rec.final_loss
-    row["final_l2"] = rec.final_l2 if rec.final_l2 is not None else float("nan")
+    row["final_l2"] = rec.final_l2
     row["initial_loss"] = rec.initial_loss
     row["epochs_run"] = int(rec.epochs[-1] + 1) if rec.epochs.size else 0
     snap0 = next((s for s in rec.snapshots if s["epoch"] == 0), None)
     if snap0 is not None:
-        for c in ("kappa", "eff_rank", "trace", "frob", "lambda_min"):
+        for c in _KR0_COLS:
             row[f"kr0_{c}"] = snap0["kr"][c]
-        lam_ret = snap0["kr"].get("lambda_min_retained", float("nan"))
-        row["kr0_lambda_min_retained"] = lam_ret
+        lam_ret = row["kr0_lambda_min_retained"]
         eta0 = tcfg.phases[0].lr
         n_r = len(train.build_grid(problem.dim, tcfg.grid_n, tcfg.grid_mode))
         if np.isfinite(lam_ret) and lam_ret > 0:
@@ -656,7 +625,6 @@ KIND_RUNNERS = {
     "kn-invariance-activation": run_kn_invariance_activation,
     "kt-spectrum": run_kt_spectrum,
     "kr-spectrum": run_kr_spectrum,
-    "kr-correlation": run_kr_correlation,
     "dynamics-sim": run_dynamics_sim,
     "train-study": run_train_study,
     "optimizer-compare": run_optimizer_compare,

@@ -24,13 +24,6 @@ def write_csv(path, header, rows):
             w.writerow([fmt(v) for v in row])
 
 
-def read_csv(path):
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        return header, [row for row in r]
-
-
 def write_matrix_csv(path, matrix):
     """Dense matrix as full-square row-major CSV."""
     m = np.asarray(matrix)

@@ -16,6 +16,10 @@ KAPPA_FLOOR = 1e-300
 NUMERICAL_RANK_CUT = 1e-12
 FROZEN_MODE_CUT = 1e-12  # relative to lambda_max; below this a mode is frozen
 
+# The scalar spectral metrics, in the order every result table lists them.
+SPECTRUM_COLS = ("kappa", "eff_rank", "trace", "frob", "lambda_max", "lambda_min",
+                 "lambda_min_retained", "numerical_rank")
+
 
 class SymMatrix:
     """Dense real symmetric matrix.
@@ -62,6 +66,10 @@ class SpectrumReport:
     lambda_min_retained: float  # smallest eigenvalue that is not frozen; nan if none
     numerical_rank: int
     sweeps: int  # always 0: LAPACK reports no iteration count (the traced benchmark sums it)
+
+    def metrics(self):
+        """The scalar spectral metrics, keyed and ordered as ``SPECTRUM_COLS``."""
+        return {c: getattr(self, c) for c in SPECTRUM_COLS}
 
 
 @dataclass

@@ -45,20 +45,18 @@ class LinearOperator:
 
 @dataclass
 class Problem:
-    """A PDE with zero Dirichlet data, its source, and (optionally) the exact solution."""
+    """A PDE with zero Dirichlet data, its source, and its exact solution."""
 
     name: str
     dim: int
     op: LinearOperator
     source: object  # f(points) -> (N,)
-    exact: object | None = None  # u(points) -> (N,)
+    exact: object  # u(points) -> (N,)
     exact_grad: object | None = None
     exact_lap: object | None = None
 
     def self_check(self, n_points=100, seed=0, tol=1e-8):
         """Verify op[exact] == source at random interior points."""
-        if self.exact is None:
-            return
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.05, 0.95, size=(n_points, self.dim))
         lhs = self.op.apply(self.exact(x), self.exact_grad(x), self.exact_lap(x), x)

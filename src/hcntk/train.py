@@ -74,7 +74,7 @@ class TrainRecord:
     losses: np.ndarray
     wall_ms: np.ndarray
     final_loss: float
-    final_l2: float | None
+    final_l2: float
     final_theta: np.ndarray
     initial_loss: float
     phase_statuses: list
@@ -128,8 +128,6 @@ def l2_error(trial, problem, test_grid, chunk=20000):
     Evaluates in chunks so the 125k-point 3D test grids stay cheap in memory
     even for wide networks.
     """
-    if problem.exact is None:
-        raise DegenerateReference("problem has no exact solution")
     x = np.atleast_2d(np.asarray(test_grid, dtype=np.float64))
     err_sq = 0.0
     ref_sq = 0.0
@@ -158,16 +156,7 @@ def _snapshot(epoch, theta, template, pair, problem, points):
     for name, mat in (("kn", kernels.assemble_kn(p, points)),
                       ("kt", kernels.assemble_kt(p, pair, points, path="direct")),
                       ("kr", kernels.assemble_kr(p, problem, pair, points, path="direct"))):
-        rep = eig_sym(mat)
-        entry[name] = {
-            "kappa": rep.kappa,
-            "eff_rank": rep.eff_rank,
-            "trace": rep.trace,
-            "frob": rep.frob,
-            "lambda_max": rep.lambda_max,
-            "lambda_min": rep.lambda_min,
-            "lambda_min_retained": rep.lambda_min_retained,
-        }
+        entry[name] = eig_sym(mat).metrics()
     return entry
 
 
@@ -219,9 +208,7 @@ def run(config: TrainConfig) -> TrainRecord:
     if total_epochs in snapshot_set and (not snapshots or snapshots[-1]["epoch"] != total_epochs):
         snapshots.append(_snapshot(total_epochs, theta, template, pair, problem, points))
     trial = kernels.TrialFunction(pair=pair, params=template.unflatten(theta))
-    final_l2 = None
-    if problem.exact is not None:
-        final_l2 = l2_error(trial, problem, test_grid_for(problem, config.test_points))
+    final_l2 = l2_error(trial, problem, test_grid_for(problem, config.test_points))
     return TrainRecord(
         config=config,
         epochs=np.asarray(epochs, dtype=np.int64),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,10 @@ def random_psd(rng, n, rank=None):
     r = rank or n
     j = rng.standard_normal((n, r))
     return j @ j.T
+
+
+def read_csv(path):
+    """(header, rows) of a CSV file, every cell as written."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows

@@ -496,3 +496,17 @@ def test_c18_full_scale_configs_exist_and_run(out_root):
     report(18, ok, f"full-scale configs: {len(paths)} validate; kt sweep ran "
                    f"{len(res.rows)} rows")
     assert ok
+
+
+DESK_CONFIGS = sorted(os.path.basename(p)[:-5]
+                      for p in glob.glob(os.path.join(CONFIG_DIR, "desk", "*.yaml")))
+
+
+@pytest.mark.parametrize("name", DESK_CONFIGS)
+def test_desk_thresholds_name_emitted_metrics(desk_run, name):
+    # a threshold on a metric the run never emits reads as absent and can only fail;
+    # placed last so every desk config has already run in this session
+    res = desk_run(name)
+    cfg = load_config(os.path.join(CONFIG_DIR, "desk", name + ".yaml"))
+    absent = [th["metric"] for th in cfg.get("thresholds", []) if th["metric"] not in res.metrics]
+    assert absent == [], f"{name}: thresholds on metrics the run does not emit: {absent}"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import yaml
 
-from hcntk import io
-from hcntk.cli import main
+from hcntk import config, experiments, io
+from hcntk.cli import _VERB_KINDS, main
 from hcntk.linalg import SymMatrix, eig_sym
+
+from conftest import read_csv
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -45,7 +47,7 @@ class TestInvarianceVerb:
     def test_runs_and_writes_rows(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.yaml", kn_seed_cfg())
         assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        header, rows = io.read_csv(tmp_path / "out" / "rows.csv")
+        header, rows = read_csv(tmp_path / "out" / "rows.csv")
         assert len(rows) == 3
         assert "eff_rank" in header
         summary = io.read_json(tmp_path / "out" / "summary.json")
@@ -55,7 +57,7 @@ class TestInvarianceVerb:
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", kt_cfg())
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"]) == 0
-        header, rows = io.read_csv(tmp_path / "o" / "rows.csv")
+        header, rows = read_csv(tmp_path / "o" / "rows.csv")
         idx = {c: i for i, c in enumerate(header)}
         assert {r[idx["seed"]] for r in rows} == {"7"}
 
@@ -84,6 +86,11 @@ class TestInvarianceVerb:
         assert not (tmp_path / "o" / "rows.csv").exists()
 
 
+def test_kind_names_agree():
+    # config validates, experiments runs and the CLI dispatches the same kinds
+    assert set(experiments.KIND_RUNNERS) == set(config.KINDS) == set().union(*_VERB_KINDS.values())
+
+
 class TestDeterminism:
     def test_rerun_byte_identical_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", kt_cfg())
@@ -98,7 +105,7 @@ class TestNtkVerbPersistsKernels:
     def test_persisted_kernel_metrics_recompute(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", kt_cfg())
         assert main(["ntk", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        header, rows = io.read_csv(tmp_path / "out" / "rows.csv")
+        header, rows = read_csv(tmp_path / "out" / "rows.csv")
         idx = {c: i for i, c in enumerate(header)}
         kdir = tmp_path / "out" / "kernels"
         files = sorted(kdir.glob("*.csv"))
@@ -125,7 +132,7 @@ class TestNtkVerbKrPersistsCoefficients:
         }
         cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
         assert main(["ntk", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        header, rows = io.read_csv(tmp_path / "out" / "coefficients" / "power_alpha1.csv")
+        header, rows = read_csv(tmp_path / "out" / "coefficients" / "power_alpha1.csv")
         assert header == ["x0", "alpha", "beta0", "gamma"]
         assert len(rows) == 10
         # alpha column equals B'' = -2 for the quadratic boundary function
@@ -150,18 +157,18 @@ class TestSpectrumFailuresSurfaceAsRows:
         cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
         code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2  # failures present, ok rows too
-        header, rows = io.read_csv(tmp_path / "out" / "rows.csv")
+        header, rows = read_csv(tmp_path / "out" / "rows.csv")
         idx = {c: i for i, c in enumerate(header)}
         statuses = {float(r[idx["alpha"]]): r[idx["status"]] for r in rows}
         assert statuses[0.5] == "singular-coefficient"
         assert statuses[2.0] == "ok"
 
 
-class TestCorrelateVerb:
+class TestSpectrumVerb:
     def test_correlations_from_sweep(self, tmp_path):
         cfg_dict = {
             "schema_version": 1,
-            "kind": "kr-correlation",
+            "kind": "kr-spectrum",
             "benchmark": "poisson1d_sin",
             "seeds": [0],
             "network": {"hidden": [10, 10], "activation": "tanh"},
@@ -169,39 +176,29 @@ class TestCorrelateVerb:
             "families": [
                 {"family": "power", "params": {"alpha": p}} for p in (0.5, 1.0, 2.0, 3.0)
             ],
-            "correlate": {"features": ["b2_max"], "targets": ["eff_rank"]},
         }
         cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
-        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        header, rows = io.read_csv(tmp_path / "out" / "correlations.csv")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        header, rows = read_csv(tmp_path / "out" / "correlations.csv")
         assert header == ["feature", "target", "scope", "n", "rho", "status"]
-        all_row = [r for r in rows if r[2] == "all"][0]
-        assert -1.0 <= float(all_row[4]) <= 1.0
+        assert len(rows) == 3 * 2 * 2  # B'' features x (eff_rank, kappa) x (all, family=power)
+        b2_rows = {r[2]: r for r in rows if r[:2] == ["b2_max", "eff_rank"]}
+        metrics = io.read_json(tmp_path / "out" / "summary.json")["metrics"]
+        assert float(b2_rows["all"][4]) == metrics["spearman_b2_max_eff_rank"]
+        assert float(b2_rows["family=power"][4]) == metrics["spearman_b2_max_eff_rank_power"]
 
-    def test_correlate_from_existing_table(self, tmp_path):
-        io.write_csv(
-            tmp_path / "table.csv",
-            ["family", "alpha", "status", "feat", "targ"],
-            [["f", 1.0, "ok", 1.0, 3.0], ["f", 2.0, "ok", 2.0, 2.0], ["f", 3.0, "ok", 3.0, 1.0]],
-        )
-        cfg_dict = {
-            "schema_version": 1,
-            "kind": "kr-correlation",
-            "benchmark": "poisson1d_sin",
-            "network": {"hidden": [8]},
-            "grid": {"n_per_axis": 10},
-            "families": [{"family": "power", "params": {"alpha": 1.0}}],
-            "correlate": {
-                "features": ["feat"],
-                "targets": ["targ"],
-                "table": str(tmp_path / "table.csv"),
-            },
-        }
-        cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
-        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        _, rows = io.read_csv(tmp_path / "out" / "correlations.csv")
-        all_row = [r for r in rows if r[2] == "all"][0]
-        assert float(all_row[4]) == pytest.approx(-1.0)
+    def test_every_correlation_is_a_metric(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.yaml", kt_cfg())
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_csv(tmp_path / "out" / "correlations.csv")
+        metrics = io.read_json(tmp_path / "out" / "summary.json")["metrics"]
+        assert len(rows) == 7 * 2 * 2  # features x (eff_rank, kappa) x (all, family=power)
+        for feature, target, scope, _, rho, status in rows:
+            name = f"spearman_{feature}_{target}"
+            if scope != "all":
+                name += "_" + scope.removeprefix("family=")
+            assert float(rho) == metrics[name] or np.isnan(float(rho)) and np.isnan(metrics[name])
+            assert metrics.get(f"{name}_status", "ok") == status
 
 
 class TestTrainVerb:
@@ -219,7 +216,7 @@ class TestTrainVerb:
         }
         cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        header, rows = io.read_csv(tmp_path / "out" / "rows.csv")
+        header, rows = read_csv(tmp_path / "out" / "rows.csv")
         idx = {c: i for i, c in enumerate(header)}
         assert rows[0][idx["status"]] == "ok"
         assert float(rows[0][idx["final_loss"]]) < float(rows[0][idx["initial_loss"]])
@@ -228,11 +225,13 @@ class TestTrainVerb:
 
     @pytest.mark.parametrize("kind,extra", [
         ("train-study", {}),
-        ("optimizer-compare", {"strategies": [
-            {"name": "adam", "phases": [{"kind": "adam", "steps": 40, "lr": 1e-3}]}]}),
+        ("optimizer-compare", {
+            "families": [{"family": "power", "params": {"alpha": -1.0}}],
+            "strategies": [
+                {"name": "adam", "phases": [{"kind": "adam", "steps": 40, "lr": 1e-3}]}]}),
     ])
     def test_late_bad_family_fails_before_training(self, tmp_path, capsys, kind, extra):
-        # every family is checked before the first one trains, so nothing is recorded
+        # every family is checked before training starts, so nothing is recorded
         cfg_dict = {
             "schema_version": 1,
             "kind": kind,
@@ -252,6 +251,28 @@ class TestTrainVerb:
         assert not (tmp_path / "out" / "runs").exists()
         assert not (tmp_path / "out" / "rows.csv").exists()
 
+    @pytest.mark.parametrize("key,values", [
+        ("families", [{"family": "power", "params": {"alpha": 1.0}},
+                      {"family": "power", "params": {"alpha": 2.0}}]),
+        ("seeds", [0, 1]),
+    ])
+    def test_optimizer_compare_takes_one_family_and_seed(self, tmp_path, capsys, key, values):
+        cfg_dict = {
+            "schema_version": 1,
+            "kind": "optimizer-compare",
+            "benchmark": "poisson1d_sin",
+            "seeds": [0],
+            "network": {"hidden": [12, 12], "activation": "tanh"},
+            "grid": {"n_per_axis": 16, "mode": "trimmed"},
+            "families": [{"family": "power", "params": {"alpha": 1.0}}],
+            "strategies": [{"name": "adam", "phases": [{"kind": "adam", "steps": 40, "lr": 1e-3}]}],
+            key: values,
+        }
+        cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert f"'{key}' lists 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_becomes_status_row(self, tmp_path):
         cfg_dict = {
             "schema_version": 1,
@@ -266,7 +287,7 @@ class TestTrainVerb:
         }
         cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        header, rows = io.read_csv(tmp_path / "out" / "rows.csv")
+        header, rows = read_csv(tmp_path / "out" / "rows.csv")
         idx = {c: i for i, c in enumerate(header)}
         assert rows[0][idx["status"]] == "divergence"
 
@@ -285,12 +306,12 @@ class TestDynamicsVerb:
         }
         cfg = write_cfg(tmp_path, "c.yaml", cfg_dict)
         assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        header, rows = io.read_csv(tmp_path / "out" / "rows.csv")
+        header, rows = read_csv(tmp_path / "out" / "rows.csv")
         idx = {c: i for i, c in enumerate(header)}
         assert float(rows[0][idx["max_rel_diff"]]) <= 1e-3
         assert float(rows[0][idx["parseval_rel_err"]]) <= 1e-8
         assert float(rows[0][idx["loss_monotone"]]) == 1.0
-        traj = io.read_csv(tmp_path / "out" / "trajectory_s0.csv")[1]
+        traj = read_csv(tmp_path / "out" / "trajectory_s0.csv")[1]
         assert len(traj) == 401
 
 

@@ -6,6 +6,8 @@ import pytest
 from hcntk import experiments, io
 from hcntk.errors import SchemaError
 
+from conftest import read_csv
+
 
 def base_net(width=10):
     return {"input_dim": 1, "hidden": [width, width], "activation": "tanh"}
@@ -205,7 +207,7 @@ class TestFailureCauses:
     @staticmethod
     def _run(cfg, out):
         res = experiments.run_experiment(cfg, str(out))
-        header, _ = io.read_csv(out / "rows.csv")
+        header, _ = read_csv(out / "rows.csv")
         assert header == res.columns
         summary = io.read_json(out / "summary.json")
         assert summary["n_failures"] == len(summary["failures"]) == res.n_failures

@@ -144,7 +144,8 @@ class TestAssembleKr:
             lap = staticmethod(lambda x: np.zeros(len(x)))
 
         op = pde.LinearOperator(dim=1, c0=0.0, c1=None, c2=1.0)
-        prob = pde.Problem(name="synthetic", dim=1, op=op, source=lambda x: np.zeros(len(x)))
+        prob = pde.Problem(name="synthetic", dim=1, op=op, source=lambda x: np.zeros(len(x)),
+                           exact=lambda x: np.zeros(len(x)))
         p = make_params(8)
         kr = kernels.assemble_kr(p, prob, ConstPair(), pts, path="composed").a
         comp = kernels.component_kernels(p, pts)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hcntk import boundary, experiments, io, kernels, net, train
+from hcntk import boundary, experiments, kernels, net, train
 from hcntk.errors import (
     DegenerateKernel,
     EigFailure,
@@ -19,7 +19,7 @@ from hcntk.linalg import (
     spearman,
 )
 
-from conftest import random_psd, random_sym
+from conftest import random_psd, random_sym, read_csv
 
 
 class TestSymMatrix:
@@ -114,7 +114,7 @@ class TestEigSym:
         }
         res = experiments.run_experiment(cfg, str(tmp_path / "out"))
         assert res.n_failures == 1
-        header, (row,) = io.read_csv(tmp_path / "out" / "rows.csv")
+        header, (row,) = read_csv(tmp_path / "out" / "rows.csv")
         written = dict(zip(header, row))
         assert written["status"] == "eig-failure"
         assert all(np.isnan(float(written[c])) for c in experiments.SPECTRUM_COLS)

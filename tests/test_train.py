@@ -5,7 +5,9 @@ import pytest
 
 from hcntk import boundary, kernels, net, pde, train
 from hcntk.errors import ConfigError, DegenerateReference, DivergenceDetected
-from hcntk.linalg import eig_sym
+from hcntk.linalg import SPECTRUM_COLS, eig_sym
+
+from conftest import read_csv
 
 
 @pytest.fixture(scope="module")
@@ -242,8 +244,7 @@ class TestRun:
         for name, mat in standalone.items():
             rep = eig_sym(mat)
             entry = rec.snapshots[0][name]
-            assert set(entry) == {"kappa", "eff_rank", "trace", "frob", "lambda_max",
-                                  "lambda_min", "lambda_min_retained"}
+            assert list(entry) == list(SPECTRUM_COLS)
             for key, value in entry.items():
                 assert value == getattr(rep, key), (name, key)
 
@@ -301,7 +302,7 @@ class TestPersistence:
         out = train.write_record(rec, tmp_path, tag="t")
         from hcntk import io
 
-        header, rows = io.read_csv(tmp_path / "t_epochs.csv")
+        header, rows = read_csv(tmp_path / "t_epochs.csv")
         assert header == ["epoch", "loss", "wall_ms"]
         assert len(rows) == 10
         assert float(rows[0][1]) == rec.losses[0]

@@ -16,6 +16,13 @@ symmetric completion). Each kernel is compared with the Gram of rows
 built from the materialized ``net.param_jacobians`` (at most about 0.8 GB,
 at the 1D reference size).
 
+Each case's direct ``K_r`` is then decomposed by ``linalg.eig_sym``, timed
+values only (what sweeps and training snapshots pay) and with the report's
+eigenvectors read (what the frozen-kernel dynamics pay). The ``pairing``
+line gives the largest difference between ``eig_sym``'s eigenvalues and
+those of ``numpy.linalg.eigh``, relative to ``lambda_max``, and the
+relative Frobenius error of ``V diag(eigenvalues) V^T`` against ``K_r``.
+
 Usage: python benchmarks/bench_kernels.py [--repeats 3]
 """
 
@@ -25,7 +32,7 @@ import time
 
 import numpy as np
 
-from hcntk import boundary, kernels, net, pde, train
+from hcntk import boundary, kernels, linalg, net, pde, train
 
 # (label, benchmark, boundary family, hidden widths, grid points per axis)
 CASES = (
@@ -165,6 +172,16 @@ def main():
             kn_ref, kt_ref, kr_ref = explicit_grams(params, problem, pair, points)
             refs = {"Kn": kn_ref, "Kt direct": kt_ref, "Kr direct": kr_ref, "Kr composed": kr_ref}
             print("  rel " + "  ".join(f"{name} {rel(results[name], refs[name]):.1e}" for name in refs))
+            kr = linalg.SymMatrix(results["Kr direct"])
+            for name, fn in (("values", lambda: linalg.eig_sym(kr)),
+                             ("vectors", lambda: linalg.eig_sym(kr).eigenvectors)):
+                best, faults, _, _ = measure(fn, args.repeats, clock)
+                print(f"  eig_sym Kr {name:<8} {best * 1e3:9.2f} ms {faults:9.0f} faults")
+            rep = linalg.eig_sym(kr)
+            lam_eigh = np.linalg.eigh(kr.a)[0][::-1]
+            recon = (rep.eigenvectors * rep.eigenvalues) @ rep.eigenvectors.T
+            print(f"  pairing {np.abs(rep.eigenvalues - lam_eigh).max() / rep.lambda_max:.1e} lambda_max"
+                  f"  reconstruction {rel(recon, kr.a):.1e}")
     finally:
         clock.uninstall()
 

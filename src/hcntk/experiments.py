@@ -651,6 +651,7 @@ def run_experiment(cfg, out_dir):
         "n_rows": len(result.rows),
         "n_failures": result.n_failures,
         "failures": result.failures,
+        "environment": io.environment(),
     }
     io.write_json(os.path.join(out_dir, "summary.json"), summary)
     return result

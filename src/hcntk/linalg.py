@@ -1,6 +1,7 @@
 """Dense symmetric matrices, eigendecomposition, and spectral metrics."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +54,16 @@ class SymMatrix:
 
 @dataclass
 class SpectrumReport:
-    """Eigendecomposition plus the scalar spectral metrics derived from it."""
+    """Eigenvalues of a symmetric matrix plus the scalar spectral metrics derived from them.
 
+    The eigenvectors are not computed with the eigenvalues. The first read
+    of ``eigenvectors`` decomposes ``matrix`` with LAPACK's full solver
+    (``numpy.linalg.eigh``), raises ``EigFailure`` if it does not converge,
+    and keeps the result for later reads.
+    """
+
+    matrix: SymMatrix = field(repr=False)  # the decomposed matrix, read again for the eigenvectors
     eigenvalues: np.ndarray  # descending
-    eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
     kappa: float
     eff_rank: float
     trace: float
@@ -66,6 +73,23 @@ class SpectrumReport:
     lambda_min_retained: float  # smallest eigenvalue that is not frozen; nan if none
     numerical_rank: int
     sweeps: int  # always 0: LAPACK reports no iteration count (the traced benchmark sums it)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal columns, aligned with ``eigenvalues`` to rounding.
+
+        They come from a second LAPACK driver, whose own eigenvalues differ
+        from ``eigenvalues`` by about ``n * eps * lambda_max``, so
+        ``V diag(eigenvalues) V^T`` reconstructs ``matrix`` to that level,
+        not bitwise.
+        """
+        try:
+            vecs = np.linalg.eigh(self.matrix.a)[1]
+        except np.linalg.LinAlgError as exc:
+            raise EigFailure(str(exc)) from exc
+        # LAPACK returns ascending order. The contiguous copy is made after its
+        # workspace is freed, so it does not raise the peak memory of the call.
+        return np.ascontiguousarray(vecs[:, ::-1])
 
     def metrics(self):
         """The scalar spectral metrics, keyed and ordered as ``SPECTRUM_COLS``."""
@@ -85,9 +109,12 @@ class EnsembleStats:
 
 
 def eig_sym(m: SymMatrix) -> SpectrumReport:
-    """Full symmetric eigendecomposition (LAPACK) with descending eigenvalues.
+    """Symmetric eigenvalues (one values-only LAPACK call) in descending order.
 
-    The condition number uses the raw smallest eigenvalue, floored at
+    The eigenvalues are ``numpy.linalg.eigvalsh`` reversed, and every
+    metric derives from them or from the entries; the eigenvectors are
+    computed only when the report's ``eigenvectors`` is first read. The
+    condition number uses the raw smallest eigenvalue, floored at
     ``KAPPA_FLOOR`` only to guard exact zeros; no rank truncation is applied.
     A separate numerical rank (eigenvalues above ``1e-12 * lambda_max``) is
     reported alongside, and so is the smallest retained eigenvalue (the
@@ -98,13 +125,9 @@ def eig_sym(m: SymMatrix) -> SpectrumReport:
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
     try:
-        vals, vecs = np.linalg.eigh(a)
+        vals = np.linalg.eigvalsh(a)[::-1].copy()  # LAPACK returns ascending order
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    # LAPACK returns ascending order. The contiguous copy is made after its
-    # workspace is freed, so it does not raise the peak memory of the call.
-    vals = vals[::-1].copy()
-    vecs = np.ascontiguousarray(vecs[:, ::-1])
     trace = float(np.trace(a))
     frob = float(np.linalg.norm(a))
     lam_max = float(vals[0])
@@ -114,8 +137,8 @@ def eig_sym(m: SymMatrix) -> SpectrumReport:
     num_rank = int(np.sum(vals > NUMERICAL_RANK_CUT * max(lam_max, 0.0))) if lam_max > 0 else 0
     retained = vals[vals >= FROZEN_MODE_CUT * max(lam_max, 0.0)]
     return SpectrumReport(
+        matrix=m,
         eigenvalues=vals,
-        eigenvectors=vecs,
         kappa=kappa,
         eff_rank=eff_rank,
         trace=trace,

@@ -253,6 +253,7 @@ def write_record(record: TrainRecord, out_dir, tag="run"):
         "phase_statuses": record.phase_statuses,
         "total_wall_s": record.total_wall_s,
         "snapshots": record.snapshots,
+        "environment": io.environment(),
     }
     io.write_json(os.path.join(out_dir, f"{tag}_summary.json"), summary)
     template = net.init_kaiming_uniform(

@@ -1,4 +1,6 @@
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -269,3 +271,65 @@ class TestFailureCauses:
         (failure,) = failures
         assert failure["row"] == 0 and failure["status"] == "divergence"
         assert re.fullmatch(r"training diverged at epoch \d+ \(loss \S+\)", failure["message"])
+
+
+class TestEnvironment:
+    """Every summary file names the environment its numbers depend on; rows.csv does not."""
+
+    @pytest.fixture
+    def fresh_environment(self):
+        io.environment.cache_clear()
+        yield
+        io.environment.cache_clear()
+
+    def test_every_summary_carries_it(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "kind": "train-study",
+            "benchmark": "poisson1d_sin",
+            "seeds": [0],
+            "network": base_net(8),
+            "grid": {"n_per_axis": 12, "mode": "trimmed"},
+            "families": [{"family": "power", "params": {"alpha": 1.0}}],
+            "train": {"phases": [{"kind": "adam", "steps": 3, "lr": 1e-3}], "test_points": 50},
+        }
+        out = tmp_path / "out"
+        res = experiments.run_experiment(cfg, str(out))
+        summaries = sorted(out.rglob("*summary.json"))
+        assert {p.name for p in summaries} == {"summary.json", "power_alpha1_s0_summary.json"}
+        env = io.environment()
+        for path in summaries:
+            assert io.read_json(path)["environment"] == env
+        assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert env["numpy"] == np.__version__
+        assert env["thread_vars"] == {v: os.environ.get(v) for v in io.BLAS_THREAD_VARS}
+        assert env["usable_cores"] == len(os.sched_getaffinity(0))
+        header, _ = read_csv(out / "rows.csv")
+        assert header == res.columns
+        assert not set(header) & {"environment", *env}
+
+    def test_blas_and_lapack_from_numpy_build(self, fresh_environment):
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        env = io.environment()
+        for lib in ("blas", "lapack"):
+            assert env[lib] == {"name": deps[lib]["name"], "version": deps[lib]["version"]}
+
+    def test_computed_once_per_process(self, fresh_environment, monkeypatch):
+        calls = []
+        show_config = np.show_config
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return show_config(*args, **kwargs)
+
+        monkeypatch.setattr(np, "show_config", counted)
+        assert io.environment() is io.environment()
+        assert calls == [{"mode": "dicts"}]
+
+    def test_numpy_without_dict_config_reads_unknown(self, fresh_environment, monkeypatch):
+        def show_config():  # numpy < 1.25 takes no mode and only prints
+            pass
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        env = io.environment()
+        assert env["blas"] == env["lapack"] == {"name": "unknown", "version": "unknown"}

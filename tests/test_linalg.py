@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hcntk import boundary, experiments, kernels, net, train
+from hcntk import boundary, experiments, kernels, net, pde, train
 from hcntk.errors import (
     DegenerateKernel,
     EigFailure,
@@ -97,10 +97,7 @@ class TestEigSym:
             eig_sym(SymMatrix(a))
 
     def test_lapack_failure_raises_and_surfaces_as_row(self, rng, tmp_path, monkeypatch):
-        def no_convergence(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
         with pytest.raises(EigFailure):
             eig_sym(SymMatrix(random_sym(rng, 12)))
         cfg = {
@@ -122,6 +119,88 @@ class TestEigSym:
     def test_kappa_floor_for_nonpositive_lambda_min(self):
         rep = eig_sym(SymMatrix(np.diag([1.0, 0.0])))
         assert rep.kappa == pytest.approx(1e300)
+
+    def test_eigenvector_failure_raises_on_first_read(self, rng, monkeypatch):
+        rep = eig_sym(SymMatrix(random_sym(rng, 12)))
+        monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+        with pytest.raises(EigFailure, match="did not converge"):
+            rep.eigenvectors
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _small_kernels():
+    """K_n, K_t and K_r of a small 1D network (2x16 tanh, 22 points)."""
+    params = net.init_kaiming_uniform((1, 16, 16, 1), "tanh", 0)
+    pair = boundary.make_pair("power", {"alpha": 1.0})
+    points = train.build_grid(1, 24, "trimmed")
+    problem = pde.benchmark("poisson1d_sin")
+    return (kernels.assemble_kn(params, points), kernels.assemble_kt(params, pair, points),
+            kernels.assemble_kr(params, problem, pair, points))
+
+
+class TestValuesOnlySpectra:
+    """Spectra come from the values-only solver; eigenvectors only when read."""
+
+    def test_eigenvalues_are_eigvalsh_reversed_bitwise(self, rng):
+        for m in (*_small_kernels(), SymMatrix(random_sym(rng, 30)), SymMatrix(random_psd(rng, 40, rank=5))):
+            assert np.array_equal(eig_sym(m).eigenvalues, np.linalg.eigvalsh(m.a)[::-1])
+
+    def test_lazy_eigenvectors_reconstruct_kernels(self):
+        for m in _small_kernels():
+            rep = eig_sym(m)
+            rec = (rep.eigenvectors * rep.eigenvalues) @ rep.eigenvectors.T
+            assert np.linalg.norm(rec - m.a) <= 1e-12 * np.linalg.norm(m.a)
+            assert np.abs(rep.eigenvectors.T @ rep.eigenvectors - np.eye(m.n)).max() <= 1e-12
+
+    def test_eigenvectors_computed_once_per_report(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        m = SymMatrix(random_sym(rng, 10))
+        rep = eig_sym(m)
+        assert calls == []
+        first = rep.eigenvectors
+        assert rep.eigenvectors is first
+        assert calls == [(10, 10)]
+        eig_sym(m).eigenvectors
+        assert calls == [(10, 10), (10, 10)]
+
+    @pytest.mark.parametrize("kind", ["kt-spectrum", "kr-spectrum", "kn-invariance-seed"])
+    def test_sweeps_never_compute_eigenvectors(self, kind, tmp_path, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+        cfg = {
+            "schema_version": 1,
+            "kind": kind,
+            "benchmark": "poisson1d_sin",
+            "seeds": [0, 1],
+            "network": {"hidden": [8, 8], "activation": "tanh"},
+            "grid": {"n_per_axis": 12, "mode": "trimmed"},
+        }
+        if kind != "kn-invariance-seed":
+            cfg["families"] = [{"family": "power", "params": {"alpha": a}} for a in (1.0, 2.0, 3.0)]
+        res = experiments.run_experiment(cfg, str(tmp_path / "out"))
+        assert res.n_failures == 0
+        assert res.rows and all(row["status"] == "ok" for row in res.rows)
+
+    def test_training_snapshot_never_computes_eigenvectors(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+        cfg = train.TrainConfig(
+            benchmark="poisson1d_sin", family="power", params={"alpha": 1.0}, hidden=(8, 8),
+            activation="tanh", seed=0, phases=(train.Phase("adam", 5, 1e-3),), grid_n=12,
+            grid_mode="trimmed", snapshot_epochs=(0,), test_points=50,
+        )
+        rec = train.run(cfg)
+        assert [p["status"] for p in rec.phase_statuses] == ["finished"]
+        assert [s["epoch"] for s in rec.snapshots] == [0]
+        assert all(np.isfinite(rec.snapshots[0][name]["lambda_max"]) for name in ("kn", "kt", "kr"))
 
 
 def _assert_exact_decomposition(a, vals, vecs):

@@ -5,8 +5,10 @@ Times ``assemble_kn``, ``assemble_kt`` (direct path) and ``assemble_kr``
 (direct and composed paths) at three sizes: the paper's 1D reference point
 (2x500 tanh, 98 points), the 2D desk size (2x64 tanh, 484 points) and the
 3D desk size (2x64 tanh, 1000 points). For each assembly it prints the
-best time of ``--repeats``, the minor page faults per assembly
-(``getrusage``) and, per layer of ``net.factored_grams``, which
+time and minor page faults (``getrusage``) of its first, cold call, which
+starts from an empty assembly workspace, and the best time of
+``--repeats`` warm calls with their faults per call. Per layer of
+``net.factored_grams`` it prints, over the warm calls, which
 contraction the layer took (``factored`` sum of Hadamard products, or
 ``phi``, the per-point gradients contracted in one product) with the
 layer's best time. A factored layer's time is its whole contraction; a
@@ -14,7 +16,8 @@ Phi layer's is forming its block of Phi, whose product with the other
 Phi blocks is in the ``rest`` line (with the reverse pass and the
 symmetric completion). Each kernel is compared with the Gram of rows
 built from the materialized ``net.param_jacobians`` (at most about 0.8 GB,
-at the 1D reference size).
+at the 1D reference size). The ``workspace`` line gives what the assembly
+workspace retains after the four assemblies of a size.
 
 Each case's direct ``K_r`` is then decomposed by ``linalg.eig_sym``, timed
 values only (what sweeps and training snapshots pay) and with the report's
@@ -83,19 +86,36 @@ class LayerClock:
             setattr(net, name, fn)
 
 
+def timed_call(fn):
+    """``fn()``'s result, seconds and minor page faults."""
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    out = fn()
+    dt = time.perf_counter() - t0
+    return out, dt, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+
+
 def measure(fn, repeats, clock):
-    """Best time, minor faults per call and per-layer rows of ``fn`` over ``repeats`` calls."""
-    out = fn()  # warm-up: BLAS thread start and first-touch allocations
+    """``fn``'s cold call and its ``repeats`` warm calls.
+
+    Returns ``(cold_s, cold_faults)`` of the first call, ``(best_s,
+    faults_per_call)`` of the warm calls, their per-layer rows and the
+    last result.
+    """
+    clock.calls = []
+    out, cold_s, cold_faults = timed_call(fn)
     best, faults, runs = float("inf"), 0, []
     for _ in range(repeats):
         clock.calls = []
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        out, dt, df = timed_call(fn)
+        best, faults = min(best, dt), faults + df
         runs.append(clock.calls)
-    return best, faults / repeats, runs, out
+    return (cold_s, cold_faults), (best, faults / repeats), runs, out
+
+
+def report(name, cold, warm):
+    print(f"  {name:<17} cold {cold[0] * 1e3:9.2f} ms {cold[1]:7.0f} faults"
+          f"   warm {warm[0] * 1e3:9.2f} ms {warm[1]:7.0f} faults")
 
 
 def layer_rows(runs, params):
@@ -146,8 +166,8 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    print("times are best of --repeats; faults are minor page faults per assembly; "
-          "rel = relative Frobenius difference to the param_jacobians Gram")
+    print("cold = first call, warm = best of --repeats more; faults are minor page faults "
+          "per call; rel = relative Frobenius difference to the param_jacobians Gram")
     clock = LayerClock()
     clock.install()
     try:
@@ -165,18 +185,23 @@ def main():
             )
             results = {}
             for name, fn in assemblies:
-                best, faults, runs, results[name] = measure(fn, args.repeats, clock)
-                print(f"  {name:<12} {best * 1e3:9.2f} ms {faults:9.0f} faults")
+                kernels._ws.clear()  # each assembly's cold call starts from an empty workspace
+                cold, warm, runs, results[name] = measure(fn, args.repeats, clock)
+                report(name, cold, warm)
                 for layer, kind, s in layer_rows(runs, params):
                     print(f"    {layer:<22} {kind:<9} {s * 1e3:9.2f} ms")
+            for name, fn in assemblies:
+                fn()
+            mib = sum(a.nbytes for a in kernels._ws.values()) / 2**20
+            print(f"  workspace {mib:.2f} MiB in {len(kernels._ws)} arrays after all four assemblies")
             kn_ref, kt_ref, kr_ref = explicit_grams(params, problem, pair, points)
             refs = {"Kn": kn_ref, "Kt direct": kt_ref, "Kr direct": kr_ref, "Kr composed": kr_ref}
             print("  rel " + "  ".join(f"{name} {rel(results[name], refs[name]):.1e}" for name in refs))
             kr = linalg.SymMatrix(results["Kr direct"])
             for name, fn in (("values", lambda: linalg.eig_sym(kr)),
                              ("vectors", lambda: linalg.eig_sym(kr).eigenvectors)):
-                best, faults, _, _ = measure(fn, args.repeats, clock)
-                print(f"  eig_sym Kr {name:<8} {best * 1e3:9.2f} ms {faults:9.0f} faults")
+                cold, warm, _, _ = measure(fn, args.repeats, clock)
+                report(f"eig_sym Kr {name}", cold, warm)
             rep = linalg.eig_sym(kr)
             lam_eigh = np.linalg.eigh(kr.a)[0][::-1]
             recon = (rep.eigenvectors * rep.eigenvalues) @ rep.eigenvectors.T

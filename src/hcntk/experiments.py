@@ -7,6 +7,7 @@ columns so re-running a config byte-reproduces them; timing lives in the
 summary JSON.
 """
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -120,12 +121,27 @@ def _safe_spearman(xs, ys):
         return float("nan"), "undefined"
 
 
+# One entry: a sweep with several families runs one seed, and a study with
+# several seeds one family, so the last network is every network a run asks
+# for again.
+@functools.lru_cache(maxsize=1)
+def _network(sizes, activation, seed):
+    """``net.init_kaiming_uniform``'s network, the same object as the last call's for the same key.
+
+    Its arrays are read-only, so no caller can change the network the next one is handed.
+    """
+    params = net.init_kaiming_uniform(sizes, activation, seed)
+    for arr in (*params.weights, *params.biases):
+        arr.flags.writeable = False
+    return params
+
+
 # ---------------------------------------------------------------------------
 # K_n invariance studies
 
 
 def _kn_matrices(sizes, activation, seeds, points):
-    return [kernels.assemble_kn(net.init_kaiming_uniform(sizes, activation, s), points) for s in seeds]
+    return [kernels.assemble_kn(_network(sizes, activation, s), points) for s in seeds]
 
 
 def _kn_group_rows(cfg, out_dir, sweep_name, sweep_values, sizes_for):
@@ -283,7 +299,7 @@ def _spectrum_sweep(cfg, out_dir, which):
             coords["seed"] = seed
             row = {**coords, "status": "ok", **{c: float("nan") for c in SPECTRUM_COLS}, **feats}
             try:
-                params = net.init_kaiming_uniform(sizes, activation, seed)
+                params = _network(sizes, activation, seed)
                 if which == "kt":
                     mat = kernels.assemble_kt(params, pair, points, path="composed")
                 else:
@@ -427,7 +443,7 @@ def run_dynamics_sim(cfg, out_dir):
     for seed in _seeds(cfg):
         row = {**_fam_coords(fam), "seed": seed, "status": "ok"}
         try:
-            params = net.init_kaiming_uniform(sizes, activation, seed)
+            params = _network(sizes, activation, seed)
             kr = kernels.assemble_kr(params, problem, pair, points, path="direct")
             fg = train.make_closure(params, pair, problem, points)
             r0 = fg.residuals(params.flatten())

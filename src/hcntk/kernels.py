@@ -21,6 +21,14 @@ Phi, of N x n_l (n_{l-1} + 1) entries, and contract them in one matrix
 product per Gram: that is the cheaper count there, and it keeps Phi within
 O(K^2 N width) entries. K_n and K_t have one factor (K = 1), so only their
 output layer goes through Phi. No N x P Jacobian is ever formed.
+
+Assembly runs in one workspace that lasts across calls (see ``net._take``):
+the forward carriers, the reverse-pass adjoints, Phi and the Gram scratch
+of the last problem shape (layer sizes and points) stay allocated, so a
+sweep over boundary functions, which keeps the network and the points,
+allocates little beyond the Grams it returns. A new shape empties the
+workspace. Every returned kernel is a fresh array. The workspace belongs
+to the process, so two threads must not assemble at once.
 """
 
 from dataclasses import dataclass
@@ -49,6 +57,19 @@ class TrialEval:
     value: np.ndarray  # (N,)
     grad: np.ndarray  # (N, d)
     lap: np.ndarray  # (N,)
+
+
+_ws, _ws_shape = {}, None
+
+
+def _workspace(params, x):
+    """The assembly workspace, emptied when the problem shape changes."""
+    global _ws_shape
+    shape = (params.layer_sizes, x.shape)
+    if shape != _ws_shape:
+        _ws.clear()
+        _ws_shape = shape
+    return _ws
 
 
 def _symmetrize(k):
@@ -87,7 +108,7 @@ def assemble_kn(params, points):
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if x.shape[0] < 1:
         raise ValueError("points must be nonempty")
-    st = net.forward(params, x, order=0)
+    st = net.forward(params, x, order=0, ws=_workspace(params, x))
     return SymMatrix(net.factored_grams(params, st, np.ones((1, x.shape[0])))[0])
 
 
@@ -101,7 +122,7 @@ def assemble_kt(params, pair, points, path="composed"):
         kn *= b[None, :]
         return _symmetrize(kn)
     if path == "direct":
-        st = net.forward(params, x, order=0)
+        st = net.forward(params, x, order=0, ws=_workspace(params, x))
         return SymMatrix(net.factored_grams(params, st, b[None, :])[0])
     raise ValueError(f"unknown path '{path}'")
 
@@ -116,7 +137,7 @@ def component_kernels(params, points):
     inner-product symmetry (checked in tests).
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    st = net.forward(params, x, order=2)
+    st = net.forward(params, x, order=2, ws=_workspace(params, x))
     n, d = x.shape
     # Output order: value 0, grad_m 1 + m, lap 1 + d. Only the gradgrad
     # pairs m <= k are built; gradgrad[k, m] is the transpose of [m, k].
@@ -176,7 +197,7 @@ def assemble_kr(params, problem, pair, points, path="direct"):
         comp = component_kernels(params, x)
         return _symmetrize(compose_kr(comp, coeff))
     if path == "direct":
-        st = net.forward(params, x, order=2)
+        st = net.forward(params, x, order=2, ws=_workspace(params, x))
         k = net.factored_grams(params, st, coeff.alpha[None], coeff.beta[None], coeff.gamma[None])
         return SymMatrix(k[0])
     raise ValueError(f"unknown path '{path}'")

@@ -266,6 +266,15 @@ def _take(ws, key, shape):
     return arr
 
 
+def _contiguous(ws, key, arr):
+    """``arr`` if it is C-contiguous, else a copy of it in the workspace array ``key``."""
+    if arr.flags.c_contiguous:
+        return arr
+    out = _take(ws, key, arr.shape)
+    np.copyto(out, arr)
+    return out
+
+
 def _matmul(a, b, out):
     """``a @ b`` into ``out`` as one 2-D product over the leading axes of ``a``.
 
@@ -550,8 +559,10 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
     is below its factored count, Phi never holds more than O(K^2 N width)
     entries per combination. The Phi blocks of all such layers sit side by
     side, so each pair takes them in one matrix product. Scratch is two
-    N x N arrays plus Phi, and no N x P array is formed. Diagonal pairs
-    (c, c) take k <= k' in the factored sum and are returned exactly
+    N x N arrays plus Phi and the contiguous copies of the factors, all
+    taken from the state's workspace (fresh without one), and no N x P
+    array is formed. The returned Grams are always a fresh array. Diagonal
+    pairs (c, c) take k <= k' in the factored sum and are returned exactly
     symmetric.
     """
     n, d = st.x.shape
@@ -572,13 +583,9 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
         else:
             plans[l] = plan
     phi_cols = sum(params.weights[l - 1].size + params.biases[l - 1].size for l in phi_layers)
-    # The result is allocated after Phi and the scratch, so that freeing
-    # them on return leaves a hole below it for the caller's next arrays
-    # (an eigensolver's workspace) rather than a free heap top, which the
-    # allocator may hand back to the system and the next call then faults
-    # in again page by page.
-    phi = np.empty((zbar.shape[0], n, phi_cols)) if phi_layers else None
-    scratch = np.empty((2, n, n))
+    ws = st.ws
+    phi = _take(ws, "phi", (zbar.shape[0], n, phi_cols)) if phi_layers else None
+    scratch = _take(ws, "gram scratch", (2, n, n))
     out = np.zeros((len(pairs), n, n))
     col = 0
     for l, zb, ub, tb in _reverse_layers(params, st, *seeds):
@@ -590,14 +597,15 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
             lefts.append(tb)
             rights.append(st.q[l - 1] if l > 1 else None)
         if l in plans:
-            lefts = [np.ascontiguousarray(left) for left in lefts]
-            rights = [None if r is None else np.ascontiguousarray(r) for r in rights]
+            lefts = [_contiguous(ws, ("left", k), left) for k, left in enumerate(lefts)]
+            rights = [None if r is None else _contiguous(ws, ("right", k), r)
+                      for k, r in enumerate(rights)]
             _accumulate_layer_grams(out, plans[l], lefts, rights, scratch)
         else:
             n_l, n_prev = params.weights[l - 1].shape
             width = n_l * (n_prev + 1)
             _write_layer_gradients(phi[:, :, col : col + width].reshape(-1, n, n_prev + 1, n_l),
-                                   lefts, rights)
+                                   lefts, rights, ws)
             col += width
     gram, half = scratch
     for p, (c, c2) in enumerate(pairs):
@@ -654,7 +662,7 @@ def _phi_is_cheaper(plan, n_pairs, n_l, n_prev):
     return n_pairs * (n_l * (n_prev + 1) + 1) < factored
 
 
-def _write_layer_gradients(block, lefts, rights):
+def _write_layer_gradients(block, lefts, rights, ws):
     """Write one layer's per-point gradients into its block of Phi.
 
     ``block`` has shape (C, N, n_{l-1} + 1, n_l): the transposed weight
@@ -663,11 +671,11 @@ def _write_layer_gradients(block, lefts, rights):
     change it, and this one keeps the layer's n_l, the long axis of the
     thin input layer, innermost. Each outer product is formed from the
     adjoint and carrier views in place, with one scratch array for the
-    products after the first.
+    products after the first (from the workspace ``ws``, when there is one).
     """
     (left, right), *rest = [(lf, r) for lf, r in zip(lefts, rights) if r is not None]
     weights = np.multiply(right[:, :, None], left[:, :, None, :], out=block[:, :, :-1])
-    tmp = np.empty(weights.shape) if rest else None
+    tmp = _take(ws, "phi tmp", weights.shape) if rest else None
     for left, right in rest:
         weights += np.multiply(right[:, :, None], left[:, :, None, :], out=tmp)
     np.copyto(block[:, :, -1], lefts[0])

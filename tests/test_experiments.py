@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hcntk import experiments, io
+from hcntk import experiments, io, net
 from hcntk.errors import SchemaError
 
 from conftest import read_csv
@@ -86,6 +86,43 @@ class TestSpectrumSweep:
         res = experiments.run_kt_spectrum(cfg, str(tmp_path))
         assert [r["status"] for r in res.rows] == ["ok", "ok"]
         assert all(1 <= r["numerical_rank"] <= 9 for r in res.rows)  # 3 x 3 interior points
+
+
+class TestNetworkMemo:
+    SIZES = (1, 8, 8, 1)
+
+    def test_one_entry_shared_and_read_only(self):
+        first = experiments._network(self.SIZES, "tanh", 0)
+        assert experiments._network(self.SIZES, "tanh", 0) is first
+        other = experiments._network(self.SIZES, "tanh", 1)
+        assert other is not first and experiments._network.cache_info().currsize == 1
+        assert experiments._network(self.SIZES, "tanh", 0) is not first  # evicted, rebuilt
+        for arr in (*other.weights, *other.biases):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        fresh = net.init_kaiming_uniform(self.SIZES, "tanh", 1)
+        for arr, shared in zip((*fresh.weights, *fresh.biases), (*other.weights, *other.biases)):
+            assert arr.flags.writeable and not np.shares_memory(arr, shared)
+            assert np.array_equal(arr, shared)
+
+    def test_sweep_builds_each_network_once(self, tmp_path, monkeypatch):
+        built = []
+        init = net.init_kaiming_uniform
+        monkeypatch.setattr(net, "init_kaiming_uniform", lambda *a: built.append(a) or init(*a))
+        experiments._network.cache_clear()
+        cfg = {
+            "schema_version": 1,
+            "kind": "kr-spectrum",
+            "benchmark": "poisson1d_sin",
+            "seeds": [0],
+            "network": base_net(),
+            "grid": {"n_per_axis": 8, "mode": "trimmed"},
+            "families": [{"family": "power", "params": {"alpha": a}} for a in (1.0, 2.0, 3.0)],
+        }
+        res = experiments.run_kr_spectrum(cfg, str(tmp_path))
+        assert [r["status"] for r in res.rows] == ["ok"] * 3
+        assert built == [((1, 10, 10, 1), "tanh", 0)]
 
 
 class TestSeedMeanRows:

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time tangent-kernel assembly layer by layer and check it against explicit Jacobian Grams.
 
-Times ``assemble_kn``, ``assemble_kt`` (direct path) and ``assemble_kr``
-(direct and composed paths) at three sizes: the paper's 1D reference point
+Times ``assemble_kn``, ``assemble_kt`` and ``assemble_kr`` (each by its
+direct and composed paths) at three sizes: the paper's 1D reference point
 (2x500 tanh, 98 points), the 2D desk size (2x64 tanh, 484 points) and the
 3D desk size (2x64 tanh, 1000 points). For each assembly it prints the
 time and minor page faults (``getrusage``) of its first, cold call, which
@@ -17,7 +17,9 @@ Phi blocks is in the ``rest`` line (with the reverse pass and the
 symmetric completion). Each kernel is compared with the Gram of rows
 built from the materialized ``net.param_jacobians`` (at most about 0.8 GB,
 at the 1D reference size). The ``workspace`` line gives what the assembly
-workspace retains after the four assemblies of a size.
+workspace retains after the five assemblies of a size, and the ``warm
+peak`` line the ``tracemalloc`` peak of one warm composed ``K_t`` (the path
+``kt-spectrum`` sweeps take) next to the size of the Gram it returns.
 
 Each case's direct ``K_r`` is then decomposed by ``linalg.eig_sym``, timed
 values only (what sweeps and training snapshots pay) and with the report's
@@ -32,6 +34,7 @@ Usage: python benchmarks/bench_kernels.py [--repeats 3]
 import argparse
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -113,6 +116,18 @@ def measure(fn, repeats, clock):
     return (cold_s, cold_faults), (best, faults / repeats), runs, out
 
 
+def warm_peak(fn):
+    """The ``tracemalloc`` peak of one warm call of ``fn`` and the size of its result, in MiB."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, out.nbytes / 2**20
+
+
 def report(name, cold, warm):
     print(f"  {name:<17} cold {cold[0] * 1e3:9.2f} ms {cold[1]:7.0f} faults"
           f"   warm {warm[0] * 1e3:9.2f} ms {warm[1]:7.0f} faults")
@@ -180,6 +195,7 @@ def main():
             assemblies = (
                 ("Kn", lambda: kernels.assemble_kn(params, points).a),
                 ("Kt direct", lambda: kernels.assemble_kt(params, pair, points, path="direct").a),
+                ("Kt composed", lambda: kernels.assemble_kt(params, pair, points, path="composed").a),
                 ("Kr direct", lambda: kernels.assemble_kr(params, problem, pair, points, path="direct").a),
                 ("Kr composed", lambda: kernels.assemble_kr(params, problem, pair, points, path="composed").a),
             )
@@ -193,9 +209,12 @@ def main():
             for name, fn in assemblies:
                 fn()
             mib = sum(a.nbytes for a in kernels._ws.values()) / 2**20
-            print(f"  workspace {mib:.2f} MiB in {len(kernels._ws)} arrays after all four assemblies")
+            print(f"  workspace {mib:.2f} MiB in {len(kernels._ws)} arrays after all five assemblies")
+            peak, gram = warm_peak(dict(assemblies)["Kt composed"])
+            print(f"  warm peak Kt composed {peak:.2f} MiB, its Gram {gram:.2f} MiB")
             kn_ref, kt_ref, kr_ref = explicit_grams(params, problem, pair, points)
-            refs = {"Kn": kn_ref, "Kt direct": kt_ref, "Kr direct": kr_ref, "Kr composed": kr_ref}
+            refs = {"Kn": kn_ref, "Kt direct": kt_ref, "Kt composed": kt_ref,
+                    "Kr direct": kr_ref, "Kr composed": kr_ref}
             print("  rel " + "  ".join(f"{name} {rel(results[name], refs[name]):.1e}" for name in refs))
             kr = linalg.SymMatrix(results["Kr direct"])
             for name, fn in (("values", lambda: linalg.eig_sym(kr)),

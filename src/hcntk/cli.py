@@ -8,7 +8,8 @@ is `spectrum` with kernel persistence forced on, so every assembled matrix
 lands on disk as CSV. `report` consolidates result directories (--dir).
 
 Exit codes: 0 success, 1 config error, 2 run failures present (with ok
-rows), 3 I/O error. Environment: HCNTK_VERBOSE (0/1/2).
+rows), 3 I/O error. Environment: HCNTK_VERBOSE (0, the default, is quiet;
+1 prints a progress line per sweep value, family or run).
 """
 
 import argparse

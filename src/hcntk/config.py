@@ -7,6 +7,7 @@ study, so every key is checked against the schema for its section.
 
 import yaml
 
+from . import pde
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -16,10 +17,13 @@ _PHASE_KEYS = {"kind", "steps", "lr"}
 _SECTION_KEYS = {
     "network": {"input_dim", "hidden", "activation"},
     "grid": {"n_per_axis", "mode"},
-    "train": {"phases", "snapshot_epochs", "test_points", "divergence_factor"},
+    "train": {"phases", "snapshot_epochs", "test_points"},
     "dynamics": {"eta", "t_end_frac", "n_steps"},
     "output": {"persist_kernels"},
 }
+
+# Keys a section must give whenever it is present.
+_SECTION_REQUIRED = {"grid": ("n_per_axis",), "dynamics": ("eta",)}
 
 _ROOT_KEYS = {
     "schema_version",
@@ -58,10 +62,20 @@ def _check_keys(mapping, allowed, path):
             raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
 
 
+def _require(mapping, keys, path):
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise ConfigError(f"'{path}' needs {' and '.join(repr(k) for k in missing)}")
+
+
+def _check_ints(values, path, least):
+    if not (isinstance(values, list) and values and all(type(v) is int and v >= least for v in values)):
+        raise ConfigError(f"'{path}' must be a nonempty list of integers >= {least}, got {values!r}")
+
+
 def _check_family_entry(entry, path):
     _check_keys(entry, {"family", "params"}, path)
-    if "family" not in entry:
-        raise ConfigError(f"'{path}' needs a 'family' key")
+    _require(entry, ("family",), path)
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"'{path}.params' must be a mapping")
@@ -75,8 +89,7 @@ def _check_phases(phases, path):
         raise ConfigError(f"'{path}' must be a nonempty list")
     for i, ph in enumerate(phases):
         _check_keys(ph, _PHASE_KEYS, f"{path}[{i}]")
-        if "kind" not in ph or "steps" not in ph:
-            raise ConfigError(f"'{path}[{i}]' needs 'kind' and 'steps'")
+        _require(ph, ("kind", "steps"), f"{path}[{i}]")
 
 
 def validate(config):
@@ -90,26 +103,44 @@ def validate(config):
     for section, allowed in _SECTION_KEYS.items():
         if section in config:
             _check_keys(config[section], allowed, section)
+            _require(config[section], _SECTION_REQUIRED.get(section, ()), section)
+    if "hidden" in config.get("network", {}):
+        _check_ints(config["network"]["hidden"], "network.hidden", 1)
     if "train" in config and "phases" in config["train"]:
         _check_phases(config["train"]["phases"], "train.phases")
     for i, strat in enumerate(config.get("strategies", []) or []):
         _check_keys(strat, {"name", "phases"}, f"strategies[{i}]")
-        _check_phases(strat.get("phases", []), f"strategies[{i}].phases")
+        _require(strat, ("name", "phases"), f"strategies[{i}]")
+        _check_phases(strat["phases"], f"strategies[{i}].phases")
     for i, fam in enumerate(config.get("families", []) or []):
         _check_family_entry(fam, f"families[{i}]")
     for i, th in enumerate(config.get("thresholds", []) or []):
         _check_keys(th, {"metric", "op", "value"}, f"thresholds[{i}]")
-        if th.get("op") not in ("le", "ge", "lt", "gt", "eq"):
+        _require(th, ("metric", "op", "value"), f"thresholds[{i}]")
+        if th["op"] not in ("le", "ge", "lt", "gt", "eq"):
             raise ConfigError(f"thresholds[{i}].op must be one of le/ge/lt/gt/eq")
+        try:
+            float(th["value"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"thresholds[{i}].value must be a number, got {th['value']!r}") from None
     missing = _REQUIRED[kind] - set(config)
     if missing:
         raise ConfigError(f"kind '{kind}' requires missing sections: {sorted(missing)}")
     sweeps = [k for k in ("widths", "depths", "activations") if k in config]
     for key in sweeps:
-        if not config[key]:
+        values = config[key]
+        if not values:
             raise ConfigError(f"sweep list '{key}' must be nonempty")
-    if "seeds" in config and not config["seeds"]:
-        raise ConfigError("sweep list 'seeds' must be nonempty")
+        if key != "activations":
+            _check_ints(values, key, 1)
+        if any(v in values[:i] for i, v in enumerate(values)):
+            raise ConfigError(f"sweep list '{key}' repeats a value: {values}")
+    if "benchmark" in config:
+        dim = pde.benchmark(config["benchmark"]).dim
+        if config["network"].get("input_dim", dim) != dim:
+            raise ConfigError(f"network.input_dim contradicts benchmark '{config['benchmark']}' of dimension {dim}")
+    if "seeds" in config:
+        _check_ints(config["seeds"], "seeds", 0)
     if "families" in config and not config["families"]:
         raise ConfigError("sweep list 'families' must be nonempty")
     if kind == "optimizer-compare":

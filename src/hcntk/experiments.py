@@ -34,7 +34,6 @@ class ExperimentResult:
     columns: list
     metrics: dict
     failures: list = field(default_factory=list)  # {"row", "status", "message"} per failed row
-    extra_files: list = field(default_factory=list)
 
     @property
     def n_failures(self):
@@ -59,21 +58,23 @@ def _fail(row, exc, index, failures):
     failures.append({"row": index, "status": row["status"], "message": str(exc)})
 
 
-def _verbose():
+def _log(msg):
+    """Print a progress line when ``HCNTK_VERBOSE`` is 1 or more (0, the default, is quiet)."""
     try:
-        return int(os.environ.get("HCNTK_VERBOSE", "0"))
+        verbose = int(os.environ.get("HCNTK_VERBOSE", "0"))
     except ValueError:
-        return 0
-
-
-def _log(msg, level=1):
-    if _verbose() >= level:
+        verbose = 0
+    if verbose >= 1:
         print(msg, flush=True)
 
 
 def _grid_of(cfg, dim):
     gc = cfg["grid"]
     return train.build_grid(dim, int(gc["n_per_axis"]), gc.get("mode", "trimmed"))
+
+
+def _activation(cfg):
+    return cfg["network"].get("activation", "tanh")
 
 
 def _seeds(cfg):
@@ -98,10 +99,7 @@ def _fam_tag(fam):
 
 def _persist(cfg, out_dir, name, matrix):
     if cfg.get("output", {}).get("persist_kernels", False):
-        path = os.path.join(out_dir, "kernels", f"{name}.csv")
-        io.write_matrix_csv(path, matrix.a)
-        return [path]
-    return []
+        io.write_matrix_csv(os.path.join(out_dir, "kernels", f"{name}.csv"), matrix.a)
 
 
 def _maybe_mean(values):
@@ -140,79 +138,6 @@ def _network(sizes, activation, seed):
 # K_n invariance studies
 
 
-def _kn_matrices(sizes, activation, seeds, points):
-    return [kernels.assemble_kn(_network(sizes, activation, s), points) for s in seeds]
-
-
-def _kn_group_rows(cfg, out_dir, sweep_name, sweep_values, sizes_for):
-    """Shared engine of the four invariance studies: per sweep value, an
-    ensemble of K_n over seeds with spectra, element-wise stats, and CKA."""
-    seeds = _seeds(cfg)
-    activation_for = lambda v: (v if sweep_name == "activation" else cfg["network"].get("activation", "tanh"))
-    dim = int(cfg["network"].get("input_dim", 1))
-    points = _grid_of(cfg, dim)
-    rows, mean_mats, group_stats = [], {}, {}
-    extra = []
-    for value in sweep_values:
-        sizes = sizes_for(value)
-        act = activation_for(value)
-        mats = _kn_matrices(sizes, act, seeds, points)
-        for seed, mat in zip(seeds, mats):
-            row = {sweep_name: value, "seed": seed, "status": "ok", **eig_sym(mat).metrics()}
-            rows.append(row)
-        stats = ensemble_stats(mats)
-        ckas = pairwise_cka(mats) if len(mats) > 1 else np.array([1.0])
-        mean_mats[value] = SymMatrix(stats.mean)
-        group_stats[value] = {
-            "cv_mean": stats.cv_mean,
-            "cv_max": stats.cv_max,
-            "cka_mean": float(ckas.mean()),
-            "cka_min": float(ckas.min()),
-        }
-        tag = f"{sweep_name}{value}"
-        if cfg.get("output", {}).get("persist_kernels", False):
-            for label, arr in (("mean", stats.mean), ("std", stats.std), ("cv", stats.cv)):
-                path = os.path.join(out_dir, "ensemble", f"{tag}_{label}.csv")
-                io.write_matrix_csv(path, arr)
-                extra.append(path)
-        _log(f"  {sweep_name}={value}: cv_mean={stats.cv_mean:.4f} cka_mean={ckas.mean():.6f}")
-    return rows, mean_mats, group_stats, extra
-
-
-def run_kn_invariance_seed(cfg, out_dir):
-    sizes = network_sizes(cfg)
-    rows, _, stats, extra = _kn_group_rows(cfg, out_dir, "width", [sizes[1]], lambda v: sizes)
-    st = stats[sizes[1]]
-    metrics = {
-        "cka_mean": st["cka_mean"],
-        "cka_min": st["cka_min"],
-        "cv_mean": st["cv_mean"],
-        "cv_max": st["cv_max"],
-        "trace_mean": _maybe_mean([r["trace"] for r in rows]),
-        "frob_mean": _maybe_mean([r["frob"] for r in rows]),
-        "eff_rank_mean": _maybe_mean([r["eff_rank"] for r in rows]),
-    }
-    cols = ["width", "seed", "status", *SPECTRUM_COLS]
-    return ExperimentResult("kn-invariance-seed", rows, cols, metrics, extra_files=extra)
-
-
-def run_kn_invariance_width(cfg, out_dir):
-    widths = [int(w) for w in cfg["widths"]]
-    rows, means, stats, extra = _kn_group_rows(
-        cfg, out_dir, "width", widths, lambda w: network_sizes(cfg, width=w)
-    )
-    metrics = {}
-    for w in widths:
-        metrics[f"cv_mean_w{w}"] = stats[w]["cv_mean"]
-        metrics[f"cka_mean_w{w}"] = stats[w]["cka_mean"]
-        metrics[f"trace_mean_w{w}"] = _maybe_mean([r["trace"] for r in rows if r["width"] == w])
-    cvs = [stats[w]["cv_mean"] for w in widths]
-    metrics["cv_strictly_decreasing"] = float(all(a > b for a, b in zip(cvs, cvs[1:])))
-    metrics["cka_meanmat_min_max_width"] = cka(means[widths[0]], means[widths[-1]])
-    cols = ["width", "seed", "status", *SPECTRUM_COLS]
-    return ExperimentResult("kn-invariance-width", rows, cols, metrics, extra_files=extra)
-
-
 EFF_RANK_STEP_SLACK = 1e-2
 
 
@@ -228,55 +153,97 @@ def eff_rank_decreasing(effs):
     return all(a >= b - EFF_RANK_STEP_SLACK for a, b in zip(effs, effs[1:])) and effs[0] > effs[-1]
 
 
-def run_kn_invariance_depth(cfg, out_dir):
-    depths = [int(d) for d in cfg["depths"]]
-    rows, means, stats, extra = _kn_group_rows(
-        cfg, out_dir, "depth", depths, lambda d: network_sizes(cfg, depth=d)
-    )
-    metrics = {}
-    traces, effs = [], []
-    for d in depths:
-        tr = _maybe_mean([r["trace"] for r in rows if r["depth"] == d])
-        ef = _maybe_mean([r["eff_rank"] for r in rows if r["depth"] == d])
-        metrics[f"trace_mean_d{d}"] = tr
-        metrics[f"eff_rank_mean_d{d}"] = ef
-        traces.append(tr)
-        effs.append(ef)
-    metrics["trace_strictly_decreasing"] = float(all(a > b for a, b in zip(traces, traces[1:])))
-    metrics["eff_rank_decreasing"] = float(eff_rank_decreasing(effs))
-    metrics["trace_ratio_first_last"] = traces[0] / traces[-1] if traces[-1] else float("inf")
-    metrics["cka_meanmat_min_max_depth"] = cka(means[depths[0]], means[depths[-1]])
-    cols = ["depth", "seed", "status", *SPECTRUM_COLS]
-    return ExperimentResult("kn-invariance-depth", rows, cols, metrics, extra_files=extra)
+def _strictly_decreasing(vals):
+    return float(all(a > b for a, b in zip(vals, vals[1:])))
 
 
-def run_kn_invariance_activation(cfg, out_dir):
-    acts = list(cfg["activations"])
-    rows, means, stats, extra = _kn_group_rows(
-        cfg, out_dir, "activation", acts, lambda a: network_sizes(cfg)
-    )
+def _width_trend(per, means):
+    mats = list(means.values())
+    return {"cv_strictly_decreasing": _strictly_decreasing([s["cv_mean"] for s in per.values()]),
+            "cka_meanmat_min_max_width": cka(mats[0], mats[-1])}
+
+
+def _depth_trend(per, means):
+    mats = list(means.values())
+    traces = [s["trace_mean"] for s in per.values()]
+    return {
+        "trace_strictly_decreasing": _strictly_decreasing(traces),
+        "eff_rank_decreasing": float(eff_rank_decreasing([s["eff_rank_mean"] for s in per.values()])),
+        "trace_ratio_first_last": traces[0] / traces[-1] if traces[-1] else float("inf"),
+        "cka_meanmat_min_max_depth": cka(mats[0], mats[-1]),
+    }
+
+
+def _activation_groups(per, means):
+    """Each activation group's mean cv, and the CKA of mean kernels within and across the groups."""
     metrics = {}
-    for a in acts:
-        metrics[f"trace_mean_{a}"] = _maybe_mean([r["trace"] for r in rows if r["activation"] == a])
-        metrics[f"cv_mean_{a}"] = stats[a]["cv_mean"]
-    smooth = [a for a in acts if a in net.SMOOTH_ACTIVATIONS]
-    nonsmooth = [a for a in acts if a in net.NONSMOOTH_ACTIVATIONS]
-    if smooth:
-        metrics["cv_mean_smooth"] = float(np.mean([stats[a]["cv_mean"] for a in smooth]))
-    if nonsmooth:
-        metrics["cv_mean_nonsmooth"] = float(np.mean([stats[a]["cv_mean"] for a in nonsmooth]))
-    within, cross = [], []
+    for name, group in (("smooth", net.SMOOTH_ACTIVATIONS), ("nonsmooth", net.NONSMOOTH_ACTIVATIONS)):
+        if cvs := [s["cv_mean"] for a, s in per.items() if a in group]:
+            metrics[f"cv_mean_{name}"] = float(np.mean(cvs))
+    within, across, acts = [], [], list(per)
     for i, a in enumerate(acts):
         for b in acts[i + 1 :]:
-            val = cka(means[a], means[b])
-            same = (a in smooth and b in smooth) or (a in nonsmooth and b in nonsmooth)
-            (within if same else cross).append(val)
+            same = (a in net.SMOOTH_ACTIVATIONS) == (b in net.SMOOTH_ACTIVATIONS)
+            (within if same else across).append(cka(means[a], means[b]))
     if within:
         metrics["within_group_cka_min"] = float(min(within))
-    if cross:
-        metrics["cross_group_cka_max"] = float(max(cross))
-    cols = ["activation", "seed", "status", *SPECTRUM_COLS]
-    return ExperimentResult("kn-invariance-activation", rows, cols, metrics, extra_files=extra)
+    if across:
+        metrics["cross_group_cka_max"] = float(max(across))
+    return metrics
+
+
+# Per kind: the sweep column of rows.csv; the sweep, as (value, layer sizes,
+# activation) per value; the metric-name suffix, formatted with the value;
+# the per-value statistics it reports, in metric order; and its cross-value
+# metrics, from the per-value statistics and mean kernels. The seed study is
+# the width sweep at the configured width.
+_KN_STUDIES = {
+    "kn-invariance-seed": (
+        "width", lambda cfg: [(network_sizes(cfg)[1], network_sizes(cfg), _activation(cfg))],
+        "", ("cka_mean", "cka_min", "cv_mean", "cv_max", "trace_mean", "frob_mean", "eff_rank_mean"),
+        lambda per, means: {}),
+    "kn-invariance-width": (
+        "width", lambda cfg: [(w, network_sizes(cfg, width=w), _activation(cfg)) for w in cfg["widths"]],
+        "_w{}", ("cv_mean", "cka_mean", "trace_mean"), _width_trend),
+    "kn-invariance-depth": (
+        "depth", lambda cfg: [(d, network_sizes(cfg, depth=d), _activation(cfg)) for d in cfg["depths"]],
+        "_d{}", ("trace_mean", "eff_rank_mean"), _depth_trend),
+    "kn-invariance-activation": (
+        "activation", lambda cfg: [(a, network_sizes(cfg), a) for a in cfg["activations"]],
+        "_{}", ("trace_mean", "cv_mean"), _activation_groups),
+}
+
+
+def run_kn_invariance(cfg, out_dir):
+    """A K_n invariance study: per sweep value, K_n of every seed, its spectra and its spread.
+
+    Each (value, seed) is a row. Per value the study reports the statistics
+    its ``_KN_STUDIES`` entry names as ``{statistic}{suffix}``, from seed
+    means of trace, frob and eff_rank, the element-wise cv's mean and max
+    and the pairwise CKA's mean and min; its cross-value metrics follow.
+    """
+    column, sweep, suffix, stats, across = _KN_STUDIES[cfg["kind"]]
+    seeds = _seeds(cfg)
+    points = _grid_of(cfg, int(cfg["network"].get("input_dim", 1)))
+    rows, per, means = [], {}, {}
+    for value, sizes, activation in sweep(cfg):
+        mats = [kernels.assemble_kn(_network(sizes, activation, s), points) for s in seeds]
+        spectra = [eig_sym(mat).metrics() for mat in mats]
+        rows += [{column: value, "seed": s, "status": "ok", **m} for s, m in zip(seeds, spectra)]
+        ens, ckas = ensemble_stats(mats), pairwise_cka(mats)
+        means[value] = SymMatrix(ens.mean)
+        per[value] = {
+            **{f"{c}_mean": _maybe_mean([m[c] for m in spectra]) for c in ("trace", "frob", "eff_rank")},
+            "cv_mean": ens.cv_mean, "cv_max": ens.cv_max,
+            "cka_mean": float(ckas.mean()), "cka_min": float(ckas.min()),
+        }
+        if cfg.get("output", {}).get("persist_kernels", False):
+            for label, arr in (("mean", ens.mean), ("std", ens.std), ("cv", ens.cv)):
+                io.write_matrix_csv(os.path.join(out_dir, "ensemble", f"{column}{value}_{label}.csv"), arr)
+        _log(f"  {column}={value}: cv_mean={ens.cv_mean:.4f} cka_mean={ckas.mean():.6f}")
+    metrics = {f"{name}{suffix.format(v)}": st[name] for v, st in per.items() for name in stats}
+    metrics.update(across(per, means))
+    return ExperimentResult(cfg["kind"], rows, [column, "seed", "status", *SPECTRUM_COLS], metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +257,8 @@ def _spectrum_sweep(cfg, out_dir, which):
     dim = problem.dim if problem else pairs[0].dim
     points = _grid_of(cfg, dim)
     sizes = network_sizes(cfg, input_dim=dim)
-    activation = cfg["network"].get("activation", "tanh")
-    rows, extra, failures = [], [], []
+    activation = _activation(cfg)
+    rows, failures = [], []
     for fam, pair in zip(cfg["families"], pairs):
         feats = boundary.features(pair, points).as_dict()
         for seed in seeds:
@@ -305,39 +272,25 @@ def _spectrum_sweep(cfg, out_dir, which):
                 else:
                     mat = kernels.assemble_kr(params, problem, pair, points, path="direct")
                 row.update(eig_sym(mat).metrics())
-                extra += _persist(cfg, out_dir, f"{which}_{_fam_tag(fam)}_s{seed}", mat)
+                _persist(cfg, out_dir, f"{which}_{_fam_tag(fam)}_s{seed}", mat)
                 if which == "kr" and cfg.get("output", {}).get("persist_kernels", False):
                     coeff_path = os.path.join(out_dir, "coefficients", f"{_fam_tag(fam)}.csv")
                     if not os.path.exists(coeff_path):
                         pde.dump_coefficients(problem.op, pair, points, coeff_path)
-                        extra.append(coeff_path)
             except (EigFailure, SingularCoefficient) as exc:
                 _fail(row, exc, len(rows), failures)
             rows.append(row)
         _log(f"  {_fam_tag(fam)}: done")
-    return rows, extra, failures
+    return rows, failures
 
 
 def _seed_mean_rows(rows, value_cols):
     """Average metric columns over seeds for each (family, alpha, beta, gamma)."""
     groups = {}
-    order = []
     for r in rows:
-        if r["status"] != "ok":
-            continue
-        key = (r["family"], r["alpha"], r["beta"], r["gamma"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
-    out = []
-    for key in order:
-        grp = groups[key]
-        mean_row = dict(grp[0])
-        for c in value_cols:
-            mean_row[c] = _maybe_mean([g[c] for g in grp])
-        out.append(mean_row)
-    return out
+        if r["status"] == "ok":
+            groups.setdefault((r["family"], r["alpha"], r["beta"], r["gamma"]), []).append(r)
+    return [{**grp[0], **{c: _maybe_mean([g[c] for g in grp]) for c in value_cols}} for grp in groups.values()]
 
 
 def _sweep_metrics(mean_rows):
@@ -349,9 +302,7 @@ def _sweep_metrics(mean_rows):
         if len(sub) >= 2:
             for col in ("eff_rank", "trace", "frob"):
                 vals = [r[col] for r in sub]
-                metrics[f"{col}_strictly_decreasing_{fam}"] = float(
-                    all(a > b for a, b in zip(vals, vals[1:]))
-                )
+                metrics[f"{col}_strictly_decreasing_{fam}"] = _strictly_decreasing(vals)
             if sub[-1]["trace"]:
                 metrics[f"trace_ratio_extremes_{fam}"] = sub[0]["trace"] / sub[-1]["trace"]
             metrics[f"kappa_max_{fam}"] = float(np.nanmax([r["kappa"] for r in sub]))
@@ -399,11 +350,11 @@ def _run_spectrum(cfg, out_dir, which):
     or ``spearman_{feature}_{target}_{family}``, with a ``_status`` key when
     it is not ``ok``.
     """
-    rows, extra, failures = _spectrum_sweep(cfg, out_dir, which)
+    rows, failures = _spectrum_sweep(cfg, out_dir, which)
     mean_rows = _seed_mean_rows(rows, SPECTRUM_COLS + FEATURE_COLS)
     corr = correlate_rows(mean_rows, *_CORRELATE[which])
-    corr_path = os.path.join(out_dir, "correlations.csv")
-    io.write_csv(corr_path, _CORRELATION_COLS, [[c[k] for k in _CORRELATION_COLS] for c in corr])
+    io.write_csv(os.path.join(out_dir, "correlations.csv"), _CORRELATION_COLS,
+                 [[c[k] for k in _CORRELATION_COLS] for c in corr])
     metrics = _sweep_metrics(mean_rows)
     for c in corr:
         name = f"spearman_{c['feature']}_{c['target']}"
@@ -412,8 +363,7 @@ def _run_spectrum(cfg, out_dir, which):
         metrics[name] = c["rho"]
         if c["status"] != "ok":
             metrics[f"{name}_status"] = c["status"]
-    return ExperimentResult(f"{which}-spectrum", rows, _SWEEP_COLS, metrics, failures,
-                            extra + [corr_path])
+    return ExperimentResult(f"{which}-spectrum", rows, _SWEEP_COLS, metrics, failures)
 
 
 def run_kt_spectrum(cfg, out_dir):
@@ -438,8 +388,8 @@ def run_dynamics_sim(cfg, out_dir):
     pair = boundary.make_pair(fam["family"], fam.get("params", {}))
     points = _grid_of(cfg, problem.dim)
     sizes = network_sizes(cfg, input_dim=problem.dim)
-    activation = cfg["network"].get("activation", "tanh")
-    rows, extra, failures = [], [], []
+    activation = _activation(cfg)
+    rows, failures = [], []
     for seed in _seeds(cfg):
         row = {**_fam_coords(fam), "seed": seed, "status": "ok"}
         try:
@@ -467,13 +417,11 @@ def run_dynamics_sim(cfg, out_dir):
             # per-mode magnitudes of the leading modes alongside t and loss
             n_modes = min(5, dec.n_r)
             modal = np.abs(traj @ dec.spectrum.eigenvectors[:, :n_modes])
-            traj_path = os.path.join(out_dir, f"trajectory_s{seed}.csv")
             io.write_csv(
-                traj_path,
+                os.path.join(out_dir, f"trajectory_s{seed}.csv"),
                 ["t", "loss"] + [f"mode{k}" for k in range(n_modes)],
                 np.column_stack([times, losses, modal]).tolist(),
             )
-            extra.append(traj_path)
             row.update(
                 {
                     "t_conv": pred.t_conv,
@@ -497,37 +445,35 @@ def run_dynamics_sim(cfg, out_dir):
         "parseval_max": float(np.max([r["parseval_rel_err"] for r in ok])) if ok else float("nan"),
         "loss_monotone_all": float(all(r["loss_monotone"] for r in ok)) if ok else 0.0,
     }
-    return ExperimentResult("dynamics-sim", rows, cols, metrics, failures, extra)
+    return ExperimentResult("dynamics-sim", rows, cols, metrics, failures)
 
 
 # ---------------------------------------------------------------------------
 # Training studies
 
 
+def _phase(p):
+    return train.Phase(p["kind"], int(p["steps"]), *([float(p["lr"])] if "lr" in p else []))
+
+
+# (section, key, TrainConfig field, conversion) of each key a run takes from
+# its config when the config gives it; TrainConfig's defaults stand for the rest.
+_TRAIN_KEYS = (
+    ("network", "hidden", "hidden", tuple),
+    ("network", "activation", "activation", str),
+    ("grid", "mode", "grid_mode", str),
+    ("train", "phases", "phases", lambda phases: tuple(map(_phase, phases))),
+    ("train", "test_points", "test_points", int),
+)
+
+
 def _train_config_from(cfg, fam, seed):
-    tc = cfg.get("train", {})
-    phases = tuple(
-        train.Phase(p["kind"], int(p["steps"]), float(p.get("lr", 1e-3)))
-        for p in tc.get("phases", [{"kind": "adam", "steps": 10000, "lr": 1e-3},
-                                   {"kind": "lbfgs", "steps": 500}])
-    )
-    snaps = tuple(int(e) for e in tc.get("snapshot_epochs", [0]))
-    if 0 not in snaps:
-        snaps = (0, *snaps)
-    hidden = tuple(int(h) for h in cfg["network"].get("hidden", [500, 500]))
+    """One run's ``TrainConfig``, always with the epoch-0 snapshot that fills the ``kr0_*`` columns."""
+    given = {field: conv(cfg[sec][key]) for sec, key, field, conv in _TRAIN_KEYS if key in cfg.get(sec, {})}
+    snaps = tuple(int(e) for e in cfg.get("train", {}).get("snapshot_epochs", ()))
     return train.TrainConfig(
-        benchmark=cfg["benchmark"],
-        family=fam["family"],
-        params=fam.get("params", {}),
-        hidden=hidden,
-        activation=cfg["network"].get("activation", "tanh"),
-        seed=seed,
-        phases=phases,
-        grid_n=int(cfg["grid"]["n_per_axis"]),
-        grid_mode=cfg["grid"].get("mode", "trimmed"),
-        snapshot_epochs=snaps,
-        test_points=int(tc.get("test_points", 1000)),
-        divergence_factor=float(tc.get("divergence_factor", 1e6)),
+        benchmark=cfg["benchmark"], family=fam["family"], params=fam.get("params", {}), seed=seed,
+        grid_n=int(cfg["grid"]["n_per_axis"]), snapshot_epochs=snaps if 0 in snaps else (0, *snaps), **given,
     )
 
 
@@ -609,9 +555,7 @@ def run_optimizer_compare(cfg, out_dir):
     fam = cfg["families"][0]
     feats = _family_features(cfg)[0]
     seed = _seeds(cfg)[0]
-    rows = []
-    metrics = {}
-    failures = []
+    rows, metrics, failures = [], {}, []
     for strat in cfg["strategies"]:
         name = strat["name"]
         sub = dict(cfg)
@@ -635,10 +579,7 @@ def run_optimizer_compare(cfg, out_dir):
 # Dispatch, persistence, report
 
 KIND_RUNNERS = {
-    "kn-invariance-seed": run_kn_invariance_seed,
-    "kn-invariance-width": run_kn_invariance_width,
-    "kn-invariance-depth": run_kn_invariance_depth,
-    "kn-invariance-activation": run_kn_invariance_activation,
+    **dict.fromkeys(_KN_STUDIES, run_kn_invariance),
     "kt-spectrum": run_kt_spectrum,
     "kr-spectrum": run_kr_spectrum,
     "dynamics-sim": run_dynamics_sim,

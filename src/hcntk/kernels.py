@@ -72,10 +72,12 @@ def _workspace(params, x):
     return _ws
 
 
-def _symmetrize(k):
-    s = k + k.T
-    s *= 0.5
-    return SymMatrix(s)
+def _symmetrize(k, ws):
+    """(k + k^T) / 2 into ``k``, summed in the workspace's ``net.factored_grams`` scratch."""
+    s = net._take(ws, "gram scratch", (2, *k.shape))[0]
+    np.add(k, k.T, out=s)
+    np.multiply(s, 0.5, out=k)
+    return SymMatrix(k)
 
 
 def trial_eval(trial, points):
@@ -120,7 +122,7 @@ def assemble_kt(params, pair, points, path="composed"):
         kn = assemble_kn(params, x).a  # a fresh array, scaled in place
         kn *= b[:, None]
         kn *= b[None, :]
-        return _symmetrize(kn)
+        return _symmetrize(kn, _workspace(params, x))
     if path == "direct":
         st = net.forward(params, x, order=0, ws=_workspace(params, x))
         return SymMatrix(net.factored_grams(params, st, b[None, :])[0])
@@ -195,7 +197,7 @@ def assemble_kr(params, problem, pair, points, path="direct"):
     coeff = pde.coefficients(problem.op, pair, x)
     if path == "composed":
         comp = component_kernels(params, x)
-        return _symmetrize(compose_kr(comp, coeff))
+        return _symmetrize(compose_kr(comp, coeff), _workspace(params, x))
     if path == "direct":
         st = net.forward(params, x, order=2, ws=_workspace(params, x))
         k = net.factored_grams(params, st, coeff.alpha[None], coeff.beta[None], coeff.gamma[None])

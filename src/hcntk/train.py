@@ -27,6 +27,10 @@ def build_grid(dim, n_per_axis, mode):
     raise ConfigError(f"unknown grid mode '{mode}'")
 
 
+# A run whose loss exceeds this multiple of its first loss has diverged.
+DIVERGENCE_FACTOR = 1e6
+
+
 @dataclass
 class Phase:
     kind: str  # sgd | adam | lbfgs
@@ -55,7 +59,6 @@ class TrainConfig:
     grid_mode: str = "trimmed"
     snapshot_epochs: tuple = (0,)
     test_points: int = 1000  # total test-grid size target
-    divergence_factor: float = 1e6
 
     def validate(self):
         for ph in self.phases:
@@ -185,7 +188,7 @@ def run(config: TrainConfig) -> TrainRecord:
         state["last_t"] = now
         if state["loss0"] is None:
             state["loss0"] = loss
-        elif state["loss0"] > 0 and loss > config.divergence_factor * state["loss0"]:
+        elif state["loss0"] > 0 and loss > DIVERGENCE_FACTOR * state["loss0"]:
             raise DivergenceDetected(epoch, loss)
         if epoch in snapshot_set:
             snapshots.append(_snapshot(epoch, th, template, pair, problem, points))

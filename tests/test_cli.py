@@ -77,13 +77,75 @@ class TestInvarianceVerb:
         ([{"family": "power", "params": {"alpha": 1.0}},
           {"family": "power2d", "params": {"alpha": 1.0}}], {}),
         ([{"family": "power", "params": {"alpha": 1.0}}],
-         {"kind": "kr-spectrum", "benchmark": "diffusion2d"}),
+         {"kind": "kr-spectrum", "benchmark": "diffusion2d",
+          "network": {"hidden": [12, 12], "activation": "tanh"}}),
     ], ids=["unknown-family", "missing-beta", "mixed-dims", "1d-family-on-2d-benchmark"])
     def test_bad_family_exit_code(self, tmp_path, capsys, families, extra):
         cfg = write_cfg(tmp_path, "c.yaml", kt_cfg(families=families, **extra))
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o" / "rows.csv").exists()
+
+
+def dynamics_cfg():
+    return {
+        "schema_version": 1,
+        "kind": "dynamics-sim",
+        "benchmark": "poisson1d_sin",
+        "seeds": [0],
+        "network": {"hidden": [10, 10], "activation": "tanh"},
+        "grid": {"n_per_axis": 12, "mode": "trimmed"},
+        "families": [{"family": "power", "params": {"alpha": 1.0}}],
+        "dynamics": {"eta": 1e-5, "n_steps": 40},
+    }
+
+
+def optimizer_cfg():
+    return {
+        "schema_version": 1,
+        "kind": "optimizer-compare",
+        "benchmark": "poisson1d_sin",
+        "seeds": [0],
+        "network": {"hidden": [8, 8], "activation": "tanh"},
+        "grid": {"n_per_axis": 12, "mode": "trimmed"},
+        "families": [{"family": "power", "params": {"alpha": 1.0}}],
+        "train": {"test_points": 100},
+        "strategies": [{"name": "adam", "phases": [{"kind": "adam", "steps": 5, "lr": 1e-3}]}],
+    }
+
+
+def _without(cfg, section, key):
+    del cfg[section][key]
+    return cfg
+
+
+def _set(cfg, section, key, value):
+    cfg[section][key] = value
+    return cfg
+
+
+class TestConfigFaults:
+    """Each malformed config is a config error raised before ``--out`` is made."""
+
+    @pytest.mark.parametrize("verb,make", [
+        ("dynamics", lambda: _without(dynamics_cfg(), "dynamics", "eta")),
+        ("invariance", lambda: _without(kn_seed_cfg(), "grid", "n_per_axis")),
+        ("invariance", lambda: _set(kn_seed_cfg(), "network", "hidden", [64, "x"])),
+        ("train", lambda: optimizer_cfg() | {"strategies": [{"phases": [{"kind": "adam", "steps": 5}]}]}),
+        ("invariance", lambda: kn_seed_cfg(thresholds=[{"op": "ge", "value": 0.5}])),
+        ("invariance", lambda: kn_seed_cfg(thresholds=[{"metric": "cka_mean", "op": "ge"}])),
+        ("dynamics", lambda: _set(dynamics_cfg(), "network", "input_dim", 2)),
+        ("train", lambda: _set(optimizer_cfg(), "train", "divergence_factor", 1e3)),
+        ("invariance", lambda: kn_seed_cfg(kind="kn-invariance-width", widths=[8, 16, 8])),
+        ("invariance", lambda: kn_seed_cfg(seeds=[0, "x"])),
+    ], ids=["no-eta", "no-n-per-axis", "non-integer-hidden", "unnamed-strategy",
+            "threshold-without-metric", "threshold-without-value", "input-dim-contradicts-benchmark",
+            "divergence-factor", "repeated-width", "non-integer-seed"])
+    def test_exits_1_before_any_output(self, tmp_path, capsys, verb, make):
+        cfg = write_cfg(tmp_path, "c.yaml", make())
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_kind_names_agree():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hcntk import experiments, io, net
+from hcntk import experiments, io, net, train
 from hcntk.errors import SchemaError
 
 from conftest import read_csv
@@ -25,7 +25,7 @@ class TestInvarianceRunners:
             "network": base_net(),
             "grid": {"n_per_axis": 12, "mode": "inclusive"},
         }
-        res = experiments.run_kn_invariance_width(cfg, str(tmp_path))
+        res = experiments.run_kn_invariance(cfg, str(tmp_path))
         assert len(res.rows) == 6
         assert res.metrics["cv_mean_w4"] > res.metrics["cv_mean_w32"]
         assert 0.0 <= res.metrics["cka_meanmat_min_max_width"] <= 1.0
@@ -39,7 +39,7 @@ class TestInvarianceRunners:
             "network": base_net(16),
             "grid": {"n_per_axis": 12, "mode": "inclusive"},
         }
-        res = experiments.run_kn_invariance_depth(cfg, str(tmp_path))
+        res = experiments.run_kn_invariance(cfg, str(tmp_path))
         assert res.metrics["trace_mean_d1"] > res.metrics["trace_mean_d4"]
         assert res.metrics["trace_ratio_first_last"] > 1.0
 
@@ -52,7 +52,7 @@ class TestInvarianceRunners:
             "network": base_net(32),
             "grid": {"n_per_axis": 12, "mode": "inclusive"},
         }
-        res = experiments.run_kn_invariance_activation(cfg, str(tmp_path))
+        res = experiments.run_kn_invariance(cfg, str(tmp_path))
         assert "cv_mean_smooth" in res.metrics and "cv_mean_nonsmooth" in res.metrics
         assert "cross_group_cka_max" in res.metrics
 
@@ -65,10 +65,32 @@ class TestInvarianceRunners:
             "grid": {"n_per_axis": 8, "mode": "inclusive"},
             "output": {"persist_kernels": True},
         }
-        res = experiments.run_kn_invariance_seed(cfg, str(tmp_path))
-        assert any("mean" in f for f in res.extra_files)
-        mean = np.loadtxt(res.extra_files[0], delimiter=",", skiprows=1)
-        assert mean.shape == (8, 8)
+        experiments.run_kn_invariance(cfg, str(tmp_path))
+        for label in ("mean", "std", "cv"):  # the seed study is the width sweep at width 10
+            arr = np.loadtxt(tmp_path / "ensemble" / f"width10_{label}.csv", delimiter=",", skiprows=1)
+            assert arr.shape == (8, 8)
+
+
+class TestTrainConfigFrom:
+    def test_keys_left_out_take_train_config_defaults(self):
+        cfg = {"benchmark": "poisson1d_sin", "network": {}, "grid": {"n_per_axis": 12}}
+        got = experiments._train_config_from(cfg, {"family": "power"}, 3)
+        assert got == train.TrainConfig("poisson1d_sin", "power", {}, seed=3, grid_n=12)
+
+    def test_given_keys_and_the_forced_first_snapshot(self):
+        cfg = {
+            "benchmark": "poisson1d_sin",
+            "network": {"hidden": [8, 8], "activation": "sigmoid"},
+            "grid": {"n_per_axis": 12, "mode": "interior"},
+            "train": {"phases": [{"kind": "adam", "steps": 5, "lr": "2e-3"}, {"kind": "lbfgs", "steps": 3}],
+                      "snapshot_epochs": [4], "test_points": 50},
+        }
+        got = experiments._train_config_from(cfg, {"family": "power", "params": {"alpha": 2.0}}, 1)
+        assert got == train.TrainConfig(
+            "poisson1d_sin", "power", {"alpha": 2.0}, hidden=(8, 8), activation="sigmoid", seed=1,
+            phases=(train.Phase("adam", 5, 2e-3), train.Phase("lbfgs", 3)), grid_n=12,
+            grid_mode="interior", snapshot_epochs=(0, 4), test_points=50,
+        )
 
 
 class TestSpectrumSweep:

@@ -459,28 +459,42 @@ class TestWorkspace:
         _assemblies(*case_2d)
         assert set(kernels._ws) == keys_2d  # no 1D buffer survives the 2D assembly
 
+    def test_composed_kt_is_the_symmetrized_scaled_kn(self):
+        # bitwise (k + k^T) / 2 of diag(B) K_n diag(B), warm as cold
+        params, _, pair, x = _ws_case(2, (12, 12), 6)
+        b = pair.value(x)
+        k = kernels.assemble_kn(params, x).a * b[:, None] * b[None, :]
+        kernels._ws.clear()
+        for _ in range(2):
+            assert np.array_equal(kernels.assemble_kt(params, pair, x, path="composed").a, (k + k.T) * 0.5)
+
     @pytest.mark.parametrize("d,hidden,n_axis,path", [
         (1, (500, 500), 100, "kr direct"),
         (2, (64, 64), 24, "kr direct"),
         (2, (64, 64), 24, "kt composed"),
     ])
     def test_warm_assembly_allocates_little(self, d, hidden, n_axis, path):
-        # A warm call allocates its returned Gram, composed K_t a second
-        # N x N array for its symmetrization, and O(N) coefficient and seed
-        # vectors, which 1 MiB covers. Warm peaks measured: 0.20 MiB (1D K_r),
-        # 2.34 MiB (2D K_r), 3.86 MiB (2D K_t), against bounds of 1.15 and
-        # 4.57 MiB. Without a workspace the same calls peak at 12.2, 15.9
+        # A warm call allocates its returned Gram and O(N) coefficient and
+        # seed vectors, which 1 MiB covers: composed K_t symmetrizes through
+        # the workspace's Gram scratch. Warm peaks measured: 0.20 MiB (1D
+        # K_r), 2.34 MiB (2D K_r), 2.08 MiB (2D K_t), against bounds of 1.07
+        # and 2.79 MiB. Without a workspace the same calls peak at 12.2, 15.9
         # and 7.7 MiB.
         params, prob, pair, x = _ws_case(d, hidden, n_axis)
         if path == "kr direct":
             assemble = lambda: kernels.assemble_kr(params, prob, pair, x, path="direct")
+            assemble()
         else:
             assemble = lambda: kernels.assemble_kt(params, pair, x, path="composed")
-        assemble()
+            kernels._ws.clear()
+            kernels.assemble_kn(params, x)
+            keys = set(kernels._ws)
+            assemble()
+            assert set(kernels._ws) == keys  # the workspace keeps nothing beyond what K_n keeps
         tracemalloc.start()
         try:
             gram = assemble().a
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * gram.nbytes + 2**20, f"warm peak {peak / 2**20:.2f} MiB"
+        assert peak <= gram.nbytes + 2**20, f"warm peak {peak / 2**20:.2f} MiB"

@@ -4,7 +4,12 @@
 Times ``assemble_kn``, ``assemble_kt`` and ``assemble_kr`` (each by its
 direct and composed paths) at three sizes: the paper's 1D reference point
 (2x500 tanh, 98 points), the 2D desk size (2x64 tanh, 484 points) and the
-3D desk size (2x64 tanh, 1000 points). For each assembly it prints the
+3D desk size (2x64 tanh, 1000 points). The composed ``K_r`` is timed as a
+sweep takes it, from component kernels built beforehand, so its line is
+the per-family compose; the ``components`` line is their one-time build
+(``component_kernels``), with its ``tracemalloc`` peak in the ``build
+peak`` line, and the ``sweep path`` line says which path
+``kernels.sweep_path`` picks at that size. For each assembly it prints the
 time and minor page faults (``getrusage``) of its first, cold call, which
 starts from an empty assembly workspace, and the best time of
 ``--repeats`` warm calls with their faults per call. Per layer of
@@ -16,10 +21,11 @@ Phi layer's is forming its block of Phi, whose product with the other
 Phi blocks is in the ``rest`` line (with the reverse pass and the
 symmetric completion). Each kernel is compared with the Gram of rows
 built from the materialized ``net.param_jacobians`` (at most about 0.8 GB,
-at the 1D reference size). The ``workspace`` line gives what the assembly
-workspace retains after the five assemblies of a size, and the ``warm
-peak`` line the ``tracemalloc`` peak of one warm composed ``K_t`` (the path
-``kt-spectrum`` sweeps take) next to the size of the Gram it returns.
+at the 1D reference size). The ``workspace`` lines give what the assembly
+workspace retains after the component build alone and after every
+assembly of a size, and the ``warm peak`` line the ``tracemalloc`` peak of
+one warm composed ``K_t`` (the path ``kt-spectrum`` sweeps take) next to
+the size of the Gram it returns.
 
 Each case's direct ``K_r`` is then decomposed by ``linalg.eig_sym``, timed
 values only (what sweeps and training snapshots pay) and with the report's
@@ -116,16 +122,26 @@ def measure(fn, repeats, clock):
     return (cold_s, cold_faults), (best, faults / repeats), runs, out
 
 
-def warm_peak(fn):
-    """The ``tracemalloc`` peak of one warm call of ``fn`` and the size of its result, in MiB."""
-    fn()
+def traced_peak(fn):
+    """The ``tracemalloc`` peak of one call of ``fn`` in MiB, and its result."""
     tracemalloc.start()
     try:
         out = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / 2**20, out.nbytes / 2**20
+    return peak / 2**20, out
+
+
+def warm_peak(fn):
+    """The ``tracemalloc`` peak of one warm call of ``fn`` and the size of its result, in MiB."""
+    fn()
+    peak, out = traced_peak(fn)
+    return peak, out.nbytes / 2**20
+
+
+def workspace_mib():
+    return sum(a.nbytes for a in kernels._ws.values()) / 2**20
 
 
 def report(name, cold, warm):
@@ -136,26 +152,23 @@ def report(name, cold, warm):
 def layer_rows(runs, params):
     """(layer label, contraction, best seconds) per layer, plus the rest of ``factored_grams``.
 
-    Each run holds the calls of one assembly, one group per
-    ``factored_grams`` call (the composed ``K_r`` makes one); layers of
-    later groups are labelled by their group.
+    Each run holds the calls of one assembly, which makes at most one
+    ``factored_grams`` call.
     """
     rows = {}
     n_layers = params.n_layers
     for calls in runs:
-        group, k, layer_s = 0, 0, 0.0
+        k, layer_s = 0, 0.0
         for kind, dt in calls:
             if kind == "total":
-                key = ("rest", "", group)
-                rows[key] = min(rows.get(key, float("inf")), dt - layer_s)
-                group, k, layer_s = group + 1, 0, 0.0
+                rows["rest", ""] = min(rows.get(("rest", ""), float("inf")), dt - layer_s)
                 continue
             l = n_layers - k
             n_l, n_prev = params.weights[l - 1].shape
-            key = (f"layer {l} ({n_l}x{n_prev})", kind, group)
+            key = (f"layer {l} ({n_l}x{n_prev})", kind)
             rows[key] = min(rows.get(key, float("inf")), dt)
             k, layer_s = k + 1, layer_s + dt
-    return [(label + (f" #{g + 1}" if g else ""), kind, s) for (label, kind, g), s in rows.items()]
+    return [(label, kind, s) for (label, kind), s in rows.items()]
 
 
 def explicit_grams(params, problem, pair, points):
@@ -191,13 +204,25 @@ def main():
             pair = boundary.make_pair(family, fparams)
             points = train.build_grid(problem.dim, n_axis, "trimmed")
             params = net.init_kaiming_uniform((problem.dim, *hidden, 1), "tanh", 0)
-            print(f"\n{label}: N={points.shape[0]} P={params.param_count()}")
+            n, d = points.shape
+            print(f"\n{label}: N={n} P={params.param_count()}")
+            print(f"  sweep path {kernels.sweep_path(params, n)}: component stack "
+                  f"{(3 + 2 * d + d * d) * n * n} floats against {params.param_count()} parameters")
+            kernels._ws.clear()
+            build = lambda: kernels.component_kernels(params, points)
+            cold, warm, _, _ = measure(build, args.repeats, clock)
+            report("components", cold, warm)
+            peak, comp = traced_peak(build)
+            stack = sum(a.nbytes for a in comp.values()) / 2**20
+            print(f"  build peak {peak:.2f} MiB, the components {stack:.2f} MiB; "
+                  f"workspace {workspace_mib():.2f} MiB after the build")
             assemblies = (
                 ("Kn", lambda: kernels.assemble_kn(params, points).a),
                 ("Kt direct", lambda: kernels.assemble_kt(params, pair, points, path="direct").a),
                 ("Kt composed", lambda: kernels.assemble_kt(params, pair, points, path="composed").a),
                 ("Kr direct", lambda: kernels.assemble_kr(params, problem, pair, points, path="direct").a),
-                ("Kr composed", lambda: kernels.assemble_kr(params, problem, pair, points, path="composed").a),
+                ("Kr composed", lambda: kernels.assemble_kr(params, problem, pair, points, path="composed",
+                                                            comp=comp).a),
             )
             results = {}
             for name, fn in assemblies:
@@ -208,8 +233,7 @@ def main():
                     print(f"    {layer:<22} {kind:<9} {s * 1e3:9.2f} ms")
             for name, fn in assemblies:
                 fn()
-            mib = sum(a.nbytes for a in kernels._ws.values()) / 2**20
-            print(f"  workspace {mib:.2f} MiB in {len(kernels._ws)} arrays after all five assemblies")
+            print(f"  workspace {workspace_mib():.2f} MiB in {len(kernels._ws)} arrays after all five assemblies")
             peak, gram = warm_peak(dict(assemblies)["Kt composed"])
             print(f"  warm peak Kt composed {peak:.2f} MiB, its Gram {gram:.2f} MiB")
             kn_ref, kt_ref, kr_ref = explicit_grams(params, problem, pair, points)

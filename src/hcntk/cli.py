@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import experiments
-from .config import load_config
+from .config import load_config, validate
 from .errors import ConfigError, HcntkError, SchemaError
 
 _VERB_KINDS = {
@@ -77,6 +77,7 @@ def main(argv=None):
             cfg["seeds"] = [args.seed]
         if args.verb == "ntk":
             cfg.setdefault("output", {})["persist_kernels"] = True
+        validate(cfg)  # again: the overrides must make a valid config too
         result = experiments.run_experiment(cfg, args.out)
         n_ok = len(result.rows) - result.n_failures
         print(f"{cfg['kind']}: {n_ok}/{len(result.rows)} rows ok -> {args.out}")

@@ -7,7 +7,7 @@ study, so every key is checked against the schema for its section.
 
 import yaml
 
-from . import pde
+from . import net, pde, train
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -90,6 +90,13 @@ def _check_phases(phases, path):
     for i, ph in enumerate(phases):
         _check_keys(ph, _PHASE_KEYS, f"{path}[{i}]")
         _require(ph, ("kind", "steps"), f"{path}[{i}]")
+        if type(ph["steps"]) is not int:
+            raise ConfigError(f"'{path}[{i}].steps' must be an integer, got {ph['steps']!r}")
+        try:
+            phase = train.Phase(ph["kind"], ph["steps"], *([float(ph["lr"])] if "lr" in ph else []))
+        except (TypeError, ValueError):
+            raise ConfigError(f"'{path}[{i}].lr' must be a number, got {ph['lr']!r}") from None
+        phase.validate()
 
 
 def validate(config):
@@ -106,6 +113,12 @@ def validate(config):
             _require(config[section], _SECTION_REQUIRED.get(section, ()), section)
     if "hidden" in config.get("network", {}):
         _check_ints(config["network"]["hidden"], "network.hidden", 1)
+    if config.get("grid", {}).get("mode", "trimmed") not in train.GRID_MODES:
+        raise ConfigError(f"unknown grid.mode {config['grid']['mode']!r} (choose from {train.GRID_MODES})")
+    for path, act in [("network.activation", config.get("network", {}).get("activation", "tanh")),
+                      *((f"activations[{i}]", a) for i, a in enumerate(config.get("activations") or []))]:
+        if act not in net.ACTIVATIONS:
+            raise ConfigError(f"unknown activation {act!r} in '{path}' (choose from {tuple(net.ACTIVATIONS)})")
     if "train" in config and "phases" in config["train"]:
         _check_phases(config["train"]["phases"], "train.phases")
     for i, strat in enumerate(config.get("strategies", []) or []):
@@ -143,6 +156,9 @@ def validate(config):
         _check_ints(config["seeds"], "seeds", 0)
     if "families" in config and not config["families"]:
         raise ConfigError("sweep list 'families' must be nonempty")
+    if kind.startswith("kn-invariance-") and len(config["seeds"]) < 2:
+        raise ConfigError(f"kind '{kind}' compares the kernels of several seeds; 'seeds' lists "
+                          f"{len(config['seeds'])}, it needs at least 2")
     if kind == "optimizer-compare":
         for key in ("families", "seeds"):
             if len(config.get(key, [])) > 1:

@@ -68,9 +68,14 @@ def _log(msg):
         print(msg, flush=True)
 
 
-def _grid_of(cfg, dim):
+def _grid_key(cfg, dim):
+    """``train.build_grid``'s arguments for the config's grid."""
     gc = cfg["grid"]
-    return train.build_grid(dim, int(gc["n_per_axis"]), gc.get("mode", "trimmed"))
+    return dim, int(gc["n_per_axis"]), gc.get("mode", "trimmed")
+
+
+def _grid_of(cfg, dim):
+    return train.build_grid(*_grid_key(cfg, dim))
 
 
 def _activation(cfg):
@@ -132,6 +137,21 @@ def _network(sizes, activation, seed):
     for arr in (*params.weights, *params.biases):
         arr.flags.writeable = False
     return params
+
+
+# One entry, for the same reason: a K_r sweep asks for the components of one
+# seed's network for every family before it moves to the next seed.
+@functools.lru_cache(maxsize=1)
+def _components(sizes, activation, seed, dim, n_per_axis, mode):
+    """``kernels.component_kernels`` of ``_network``'s network on ``train.build_grid``'s grid.
+
+    Built once per key, in read-only arrays, which ``kernels.compose_kr`` only reads.
+    """
+    comp = kernels.component_kernels(_network(sizes, activation, seed),
+                                     train.build_grid(dim, n_per_axis, mode))
+    for arr in comp.values():
+        arr.flags.writeable = False
+    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +271,37 @@ def run_kn_invariance(cfg, out_dir):
 
 
 def _spectrum_sweep(cfg, out_dir, which):
+    """The rows of a K_t or K_r sweep, in (family, seed) order, and their failures.
+
+    Seeds are the outer loop, so each seed's network, and the component
+    kernels of a K_r sweep on the composed ``kernels.sweep_path``, are
+    built once for all families.
+    """
     seeds = _seeds(cfg)
     problem = pde.benchmark(cfg["benchmark"]) if which == "kr" else None
     pairs = [boundary.make_pair(fam["family"], fam.get("params", {})) for fam in cfg["families"]]
     dim = problem.dim if problem else pairs[0].dim
-    points = _grid_of(cfg, dim)
+    grid = _grid_key(cfg, dim)
+    points = train.build_grid(*grid)
     sizes = network_sizes(cfg, input_dim=dim)
     activation = _activation(cfg)
-    rows, failures = [], []
-    for fam, pair in zip(cfg["families"], pairs):
-        feats = boundary.features(pair, points).as_dict()
-        for seed in seeds:
-            coords = _fam_coords(fam)
-            coords["seed"] = seed
-            row = {**coords, "status": "ok", **{c: float("nan") for c in SPECTRUM_COLS}, **feats}
+    feats = [boundary.features(pair, points).as_dict() for pair in pairs]
+    rows, failures = [None] * (len(pairs) * len(seeds)), []
+    for s, seed in enumerate(seeds):
+        params = _network(sizes, activation, seed)
+        comp = None
+        if which == "kr" and kernels.sweep_path(params, len(points)) == "composed":
+            comp = _components(sizes, activation, seed, *grid)
+        for f, (fam, pair) in enumerate(zip(cfg["families"], pairs)):
+            index = f * len(seeds) + s
+            row = {**_fam_coords(fam), "seed": seed, "status": "ok",
+                   **{c: float("nan") for c in SPECTRUM_COLS}, **feats[f]}
             try:
-                params = _network(sizes, activation, seed)
                 if which == "kt":
                     mat = kernels.assemble_kt(params, pair, points, path="composed")
                 else:
-                    mat = kernels.assemble_kr(params, problem, pair, points, path="direct")
+                    mat = kernels.assemble_kr(params, problem, pair, points,
+                                              path="direct" if comp is None else "composed", comp=comp)
                 row.update(eig_sym(mat).metrics())
                 _persist(cfg, out_dir, f"{which}_{_fam_tag(fam)}_s{seed}", mat)
                 if which == "kr" and cfg.get("output", {}).get("persist_kernels", False):
@@ -278,9 +309,10 @@ def _spectrum_sweep(cfg, out_dir, which):
                     if not os.path.exists(coeff_path):
                         pde.dump_coefficients(problem.op, pair, points, coeff_path)
             except (EigFailure, SingularCoefficient) as exc:
-                _fail(row, exc, len(rows), failures)
-            rows.append(row)
-        _log(f"  {_fam_tag(fam)}: done")
+                _fail(row, exc, index, failures)
+            rows[index] = row
+        _log(f"  seed {seed}: done")
+    failures.sort(key=lambda fl: fl["row"])
     return rows, failures
 
 

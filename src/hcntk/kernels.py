@@ -29,6 +29,13 @@ sweep over boundary functions, which keeps the network and the points,
 allocates little beyond the Grams it returns. A new shape empties the
 workspace. Every returned kernel is a fresh array. The workspace belongs
 to the process, so two threads must not assemble at once.
+
+The component kernels are the exception: ``component_kernels`` builds
+them outside the workspace, one pair of outputs at a time, in arrays
+freed on return. They depend on the network and the points alone, so a
+K_r sweep that composes builds them once and keeps only the stack;
+``sweep_path`` says where it composes (where the stack is no larger than
+the network) and where it assembles each K_r directly.
 """
 
 from dataclasses import dataclass
@@ -137,36 +144,36 @@ def component_kernels(params, points):
       gradlap (d,N,N), laplap (N,N).
     Cross kernels are stored one-sided; their transposes follow from the
     inner-product symmetry (checked in tests).
+
+    The components are built outside the assembly workspace, in arrays
+    freed on return, and each pair of outputs takes its own
+    ``net.factored_grams`` call, so the build never holds the (2 + d)
+    stacked adjoints or their Phi. A sweep builds them once per network
+    and points (see ``sweep_path``), and the workspace keeps nothing of a
+    build.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    st = net.forward(params, x, order=2, ws=_workspace(params, x))
+    st = net.forward(params, x, order=2)
     n, d = x.shape
-    # Output order: value 0, grad_m 1 + m, lap 1 + d. Only the gradgrad
-    # pairs m <= k are built; gradgrad[k, m] is the transpose of [m, k].
-    val, lap, grads = 0, 1 + d, range(1, 1 + d)
-    upper = [(m, k) for m in range(d) for k in range(m, d)]
-    pairs = (
-        [(val, val)]
-        + [(val, m) for m in grads]
-        + [(1 + m, 1 + k) for m, k in upper]
-        + [(val, lap)]
-        + [(m, lap) for m in grads]
-        + [(lap, lap)]
-    )
-    g = net.factored_grams(params, st, *net.output_seeds(n, d, 2), pairs=pairs)
-    gg, rest = 1 + d, 1 + d + len(upper)  # first gradgrad pair, first pair after them
-    gradgrad = np.empty((d, d, n, n))
-    for p, (m, k) in enumerate(upper):
-        gradgrad[m, k] = g[gg + p]
-        gradgrad[k, m] = g[gg + p].T
-    return {
-        "nn": g[0],
-        "ngrad": g[1:gg],
-        "gradgrad": gradgrad,
-        "nlap": g[rest],
-        "gradlap": g[rest + 1 : rest + 1 + d],
-        "laplap": g[-1],
-    }
+    zbar, ubar, tbar = net.output_seeds(n, d, 2)
+    lap = 1 + d  # output order: value 0, grad_m 1 + m, lap 1 + d
+
+    def gram(c, c2):
+        # The Gram of outputs c <= c2, seeding only the orders they use.
+        rows = [c] if c == c2 else [c, c2]
+        seeds = (zbar[rows], ubar[rows] if c2 > 0 else None, tbar[rows] if c2 == lap else None)
+        return net.factored_grams(params, st, *seeds, pairs=((0, len(rows) - 1),))[0]
+
+    ngrad, gradlap, gradgrad = np.empty((d, n, n)), np.empty((d, n, n)), np.empty((d, d, n, n))
+    for m in range(d):
+        ngrad[m] = gram(0, 1 + m)
+        gradlap[m] = gram(1 + m, lap)
+        gradgrad[m, m] = gram(1 + m, 1 + m)
+        for k in range(m + 1, d):  # gradgrad[k, m] is the transpose of [m, k]
+            gradgrad[m, k] = gram(1 + m, 1 + k)
+            gradgrad[k, m] = gradgrad[m, k].T
+    return {"nn": gram(0, 0), "ngrad": ngrad, "gradgrad": gradgrad, "nlap": gram(0, lap),
+            "gradlap": gradlap, "laplap": gram(lap, lap)}
 
 
 def compose_kr(comp, coeff):
@@ -187,16 +194,33 @@ def compose_kr(comp, coeff):
     return k
 
 
-def assemble_kr(params, problem, pair, points, path="direct"):
+def sweep_path(params, n_points):
+    """The ``assemble_kr`` path of a sweep over boundary functions on one network and grid.
+
+    Composed where the component stack, (3 + 2d + d^2) N^2 floats, is no
+    larger than the network's parameter count, direct elsewhere. The stack
+    a sweep keeps is then never larger than the network it belongs to, and
+    composing one K_r from it takes about the stack's size in operations,
+    against the direct assembly's reverse pass over the parameters at
+    every point.
+    """
+    d = params.input_dim
+    return "composed" if (3 + 2 * d + d * d) * n_points**2 <= params.param_count() else "direct"
+
+
+def assemble_kr(params, problem, pair, points, path="direct", comp=None):
     """Residual kernel: Gram of J_r rows, or the nine-term composed formula.
 
     J_r(r_i) = alpha_i dN/dtheta + beta_i . d(grad N)/dtheta
              + gamma_i d(lap N)/dtheta.
+
+    The composed path takes ``comp``, the ``component_kernels`` of
+    ``params`` on ``points`` (which it only reads), or builds them.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     coeff = pde.coefficients(problem.op, pair, x)
     if path == "composed":
-        comp = component_kernels(params, x)
+        comp = component_kernels(params, x) if comp is None else comp
         return _symmetrize(compose_kr(comp, coeff), _workspace(params, x))
     if path == "direct":
         st = net.forward(params, x, order=2, ws=_workspace(params, x))

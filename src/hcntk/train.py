@@ -11,6 +11,9 @@ from .errors import ConfigError, DegenerateReference, DivergenceDetected
 from .linalg import eig_sym
 
 
+GRID_MODES = ("inclusive", "interior", "trimmed")
+
+
 def build_grid(dim, n_per_axis, mode):
     """Collocation grid in one of three boundary treatments.
 
@@ -24,7 +27,7 @@ def build_grid(dim, n_per_axis, mode):
         return boundary.grid(dim, n_per_axis, include_boundary=False)
     if mode == "trimmed":
         return boundary.trim_boundary(boundary.grid(dim, n_per_axis, include_boundary=True))
-    raise ConfigError(f"unknown grid mode '{mode}'")
+    raise ConfigError(f"unknown grid mode '{mode}' (choose from {GRID_MODES})")
 
 
 # A run whose loss exceeds this multiple of its first loss has diverged.

@@ -138,12 +138,29 @@ class TestConfigFaults:
         ("train", lambda: _set(optimizer_cfg(), "train", "divergence_factor", 1e3)),
         ("invariance", lambda: kn_seed_cfg(kind="kn-invariance-width", widths=[8, 16, 8])),
         ("invariance", lambda: kn_seed_cfg(seeds=[0, "x"])),
+        ("invariance", lambda: kn_seed_cfg(seeds=[3])),
+        ("invariance", lambda: _set(kn_seed_cfg(), "grid", "mode", "staggered")),
+        ("invariance", lambda: _set(kn_seed_cfg(), "network", "activation", "swish")),
+        ("invariance", lambda: kn_seed_cfg(kind="kn-invariance-activation", activations=["tanh", "swish"])),
+        ("train", lambda: optimizer_cfg() | {"strategies": [
+            {"name": "adam", "phases": [{"kind": "adam", "steps": 5, "lr": "abc"}]}]}),
+        ("train", lambda: optimizer_cfg() | {"strategies": [
+            {"name": "adam", "phases": [{"kind": "adam", "steps": "many", "lr": 1e-3}]}]}),
     ], ids=["no-eta", "no-n-per-axis", "non-integer-hidden", "unnamed-strategy",
             "threshold-without-metric", "threshold-without-value", "input-dim-contradicts-benchmark",
-            "divergence-factor", "repeated-width", "non-integer-seed"])
+            "divergence-factor", "repeated-width", "non-integer-seed", "one-seed-kn-study",
+            "unknown-grid-mode", "unknown-activation", "unknown-activations-entry", "non-numeric-lr",
+            "non-integer-steps"])
     def test_exits_1_before_any_output(self, tmp_path, capsys, verb, make):
         cfg = write_cfg(tmp_path, "c.yaml", make())
         assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_checked_like_the_config(self, tmp_path, capsys):
+        # --seed leaves a K_n study one seed, which it cannot compare
+        cfg = write_cfg(tmp_path, "c.yaml", kn_seed_cfg())
+        assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "3"]) == 1
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hcntk import experiments, io, net, train
+from hcntk import boundary, experiments, io, kernels, net, pde, train
 from hcntk.errors import SchemaError
 
 from conftest import read_csv
@@ -145,6 +145,109 @@ class TestNetworkMemo:
         res = experiments.run_kr_spectrum(cfg, str(tmp_path))
         assert [r["status"] for r in res.rows] == ["ok"] * 3
         assert built == [((1, 10, 10, 1), "tanh", 0)]
+
+
+# Ten 1D families, as in a boundary search; 1D grids small enough that the
+# component stack, 6 N^2 floats, is below the 2x32 network's 1153 parameters.
+TEN_1D_FAMILIES = (
+    [{"family": "power", "params": {"alpha": a}} for a in (0.5, 1.0, 2.0, 5.0)]
+    + [{"family": "trig", "params": {"alpha": a}} for a in (1.0, 4.0)]
+    + [{"family": "rational", "params": {"alpha": a}} for a in (0.0, 20.0)]
+    + [{"family": "exponential", "params": {"alpha": 0.0}}, {"family": "tanh", "params": {"alpha": 3.0}}]
+)
+
+
+def kr_sweep_cfg(families, seeds=(0,), dim=1, hidden=32, n_per_axis=12):
+    return {
+        "schema_version": 1,
+        "kind": "kr-spectrum",
+        "benchmark": "poisson1d_sin" if dim == 1 else "diffusion2d",
+        "seeds": list(seeds),
+        "network": {"hidden": [hidden, hidden], "activation": "tanh"},
+        "grid": {"n_per_axis": n_per_axis, "mode": "trimmed"},
+        "families": list(families),
+    }
+
+
+class TestComposedSweep:
+    """A K_r sweep on the composed path builds the component kernels once per network and grid."""
+
+    def _record(self, monkeypatch):
+        """Count ``component_kernels`` calls and keep every ``assemble_kr`` call's inputs and kernel."""
+        builds, assembled = [], []
+        component_kernels, assemble_kr = kernels.component_kernels, kernels.assemble_kr
+
+        def counting(*args):
+            builds.append(args)
+            return component_kernels(*args)
+
+        def keeping(*args, **kwargs):
+            mat = assemble_kr(*args, **kwargs)
+            assembled.append((args, kwargs, mat.a))
+            return mat
+
+        monkeypatch.setattr(kernels, "component_kernels", counting)
+        monkeypatch.setattr(kernels, "assemble_kr", keeping)
+        experiments._network.cache_clear()
+        experiments._components.cache_clear()
+        return builds, assembled
+
+    def test_sweep_kernels_equal_direct_assembly(self, tmp_path, monkeypatch):
+        _, assembled = self._record(monkeypatch)
+        cfg = kr_sweep_cfg(TEN_1D_FAMILIES[:3], seeds=(0, 1))
+        experiments.run_kr_spectrum(cfg, str(tmp_path))
+        assert len(assembled) == 6
+        for (params, problem, pair, points), kwargs, k in list(assembled):
+            assert kwargs["path"] == "composed"
+            direct = kernels.assemble_kr(params, problem, pair, points, path="direct").a
+            assert np.linalg.norm(k - direct) / np.linalg.norm(direct) <= 1e-14
+
+    def test_build_counts(self, tmp_path, monkeypatch):
+        builds, _ = self._record(monkeypatch)
+        res = experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES), str(tmp_path / "a"))
+        assert len(builds) == 1 and [r["status"] for r in res.rows] == ["ok"] * 10
+        builds.clear()
+        experiments._components.cache_clear()
+        res = experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES[:3], seeds=(0, 1)), str(tmp_path / "b"))
+        assert len(builds) == 2
+        # rows stay in (family, seed) order
+        assert [(r["family"], r["alpha"], r["seed"]) for r in res.rows] == [
+            (f["family"], f["params"]["alpha"], s) for f in TEN_1D_FAMILIES[:3] for s in (0, 1)]
+
+    def test_memo_holds_one_read_only_entry(self, tmp_path, monkeypatch):
+        builds, _ = self._record(monkeypatch)
+        experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES[:2], seeds=(0, 1)), str(tmp_path))
+        assert experiments._components.cache_info().currsize == 1
+        sizes, grid = (1, 32, 32, 1), (1, 12, "trimmed")
+        comp = experiments._components(sizes, "tanh", 1, *grid)  # the last seed's entry
+        assert len(builds) == 2 and experiments._components.cache_info().hits == 1
+        kept = {key: arr.copy() for key, arr in comp.items()}
+        for arr in comp.values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+        points = train.build_grid(*grid)
+        pair = boundary.make_pair("power", {"alpha": 2.0})
+        kernels.compose_kr(comp, pde.coefficients(pde.benchmark("poisson1d_sin").op, pair, points))
+        assert all(np.array_equal(comp[key], kept[key]) for key in kept)
+        fresh = kernels.component_kernels(experiments._network(sizes, "tanh", 1), points)
+        assert all(np.array_equal(comp[key], fresh[key]) for key in kept)
+
+    def test_repeats_are_bitwise(self, tmp_path, monkeypatch):
+        # one seed, so the second sweep composes from the first one's memo entry
+        builds, _ = self._record(monkeypatch)
+        cfg = kr_sweep_cfg(TEN_1D_FAMILIES[:4])
+        cold = experiments.run_kr_spectrum(cfg, str(tmp_path)).rows
+        memoised = experiments.run_kr_spectrum(cfg, str(tmp_path)).rows
+        assert len(builds) == 1
+        assert repr(cold) == repr(memoised)  # every float bitwise, NaN included
+
+    def test_2d_desk_size_stays_direct(self, tmp_path, monkeypatch):
+        builds, assembled = self._record(monkeypatch)
+        cfg = kr_sweep_cfg([{"family": "tanh2d", "params": {"alpha": 5.0}}], dim=2, hidden=64, n_per_axis=24)
+        res = experiments.run_kr_spectrum(cfg, str(tmp_path))
+        assert builds == [] and [kwargs["path"] for _, kwargs, _ in assembled] == ["direct"]
+        assert len(res.rows) == 1
 
 
 class TestSeedMeanRows:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -382,19 +383,36 @@ def _factored_layers(monkeypatch, assemble):
 def test_contraction_per_layer(monkeypatch, d, hidden, n_axis):
     # The benchmark shapes (1D 2x500 on 98 points, 2D and 3D 2x64 on 484
     # and 1000) and the 40 x 40 oracle case: the hidden layer is always
-    # factored, the thin layers of K_r and of the component kernels go
-    # through Phi, and so does the output layer of K_n and K_t, whose
-    # rank-one input layer is cheaper factored.
+    # factored, the thin layers of K_r go through Phi, and so does the
+    # output layer of K_n and K_t, whose rank-one input layer is cheaper
+    # factored. The component kernels take one factored_grams call per
+    # pair of outputs; a pair with few factors on the input layer factors
+    # it too: (value, value) at every d, each (value, grad_m) from d = 2 on
+    # and each (grad_m, grad_m) from d = 3 on.
     bench, family = ORACLE_SETUPS[d]
     prob, pair = pde.benchmark(bench), boundary.make_pair(family, {"alpha": 3.0})
     x = boundary.trim_boundary(boundary.grid(d, n_axis, include_boundary=True))
     p = net.init_kaiming_uniform((d, *hidden, 1), "tanh", 0)
     hidden_layer, input_layer = (hidden[1], hidden[0]), (hidden[0], d)
     assert _factored_layers(monkeypatch, lambda: kernels.assemble_kr(p, prob, pair, x)) == [hidden_layer]
-    assert _factored_layers(monkeypatch, lambda: kernels.component_kernels(p, x)) == [hidden_layer]
+    n_pairs = 3 + 2 * d + d * (d + 1) // 2
+    n_input = 1 + d * (d >= 2) + d * (d >= 3)
+    assert Counter(_factored_layers(monkeypatch, lambda: kernels.component_kernels(p, x))) == Counter(
+        {hidden_layer: n_pairs, input_layer: n_input})
     for assemble in (lambda: kernels.assemble_kn(p, x),
                      lambda: kernels.assemble_kt(p, pair, x, path="direct")):
         assert _factored_layers(monkeypatch, assemble) == [hidden_layer, input_layer]
+
+
+@pytest.mark.parametrize("sizes,n,path", [
+    ((1, 500, 500, 1), 98, "composed"),  # 57.6k floats of components, 252k parameters
+    ((2, 64, 64, 1), 484, "direct"),  # 2.58M against 4.4k
+    ((3, 64, 64, 1), 1000, "direct"),
+    ((1, 32, 32, 1), 13, "composed"),  # 1014 against 1153
+    ((1, 32, 32, 1), 14, "direct"),  # 1176 against 1153
+])
+def test_sweep_path_composes_where_the_stack_is_no_larger_than_the_network(sizes, n, path):
+    assert kernels.sweep_path(net.init_kaiming_uniform(sizes, "tanh", 0), n) == path
 
 
 # One workspace across calls: 1D and 2D shapes small enough to run fast, and
@@ -458,6 +476,16 @@ class TestWorkspace:
         assert set(kernels._ws) != keys_2d
         _assemblies(*case_2d)
         assert set(kernels._ws) == keys_2d  # no 1D buffer survives the 2D assembly
+
+    def test_component_build_keeps_nothing_in_the_workspace(self):
+        params, prob, pair, x = _ws_case(1, (20, 20), 14)
+        kernels._ws.clear()
+        kernels.component_kernels(params, x)
+        assert kernels._ws == {}
+        kernels.assemble_kr(params, prob, pair, x, path="direct")
+        kept = dict(kernels._ws)
+        kernels.component_kernels(params, x)
+        assert kernels._ws.keys() == kept.keys() and all(kernels._ws[k] is a for k, a in kept.items())
 
     def test_composed_kt_is_the_symmetrized_scaled_kn(self):
         # bitwise (k + k^T) / 2 of diag(B) K_n diag(B), warm as cold

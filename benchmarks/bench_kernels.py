@@ -23,9 +23,12 @@ symmetric completion). Each kernel is compared with the Gram of rows
 built from the materialized ``net.param_jacobians`` (at most about 0.8 GB,
 at the 1D reference size). The ``workspace`` lines give what the assembly
 workspace retains after the component build alone and after every
-assembly of a size, and the ``warm peak`` line the ``tracemalloc`` peak of
-one warm composed ``K_t`` (the path ``kt-spectrum`` sweeps take) next to
-the size of the Gram it returns.
+assembly of a size, and the ``warm peak`` line the ``tracemalloc`` peaks
+of one warm composed ``K_t`` (the path ``kt-spectrum`` sweeps take) and
+one warm composed ``K_r`` (from the built components) next to the size of
+the Gram each returns. One untimed component build at the first size
+runs before any measurement, so that no cold column absorbs the start-up
+of the BLAS threads.
 
 Each case's direct ``K_r`` is then decomposed by ``linalg.eig_sym``, timed
 values only (what sweeps and training snapshots pay) and with the report's
@@ -199,6 +202,10 @@ def main():
     clock = LayerClock()
     clock.install()
     try:
+        _, bench, _, hidden, n_axis = CASES[0]
+        dim = pde.benchmark(bench).dim
+        kernels.component_kernels(net.init_kaiming_uniform((dim, *hidden, 1), "tanh", 0),
+                                  train.build_grid(dim, n_axis, "trimmed"))  # BLAS start-up, untimed
         for label, bench, (family, fparams), hidden, n_axis in CASES:
             problem = pde.benchmark(bench)
             pair = boundary.make_pair(family, fparams)
@@ -207,7 +214,7 @@ def main():
             n, d = points.shape
             print(f"\n{label}: N={n} P={params.param_count()}")
             print(f"  sweep path {kernels.sweep_path(params, n)}: component stack "
-                  f"{(3 + 2 * d + d * d) * n * n} floats against {params.param_count()} parameters")
+                  f"{len(kernels.output_pairs(d)) * n * n} floats against {params.param_count()} parameters")
             kernels._ws.clear()
             build = lambda: kernels.component_kernels(params, points)
             cold, warm, _, _ = measure(build, args.repeats, clock)
@@ -234,8 +241,9 @@ def main():
             for name, fn in assemblies:
                 fn()
             print(f"  workspace {workspace_mib():.2f} MiB in {len(kernels._ws)} arrays after all five assemblies")
-            peak, gram = warm_peak(dict(assemblies)["Kt composed"])
-            print(f"  warm peak Kt composed {peak:.2f} MiB, its Gram {gram:.2f} MiB")
+            peaks = {name: warm_peak(dict(assemblies)[name]) for name in ("Kt composed", "Kr composed")}
+            print("  warm peak " + ", ".join(f"{name} {peak:.2f} MiB" for name, (peak, _) in peaks.items())
+                  + f"; a Gram {peaks['Kr composed'][1]:.2f} MiB")
             kn_ref, kt_ref, kr_ref = explicit_grams(params, problem, pair, points)
             refs = {"Kn": kn_ref, "Kt direct": kt_ref, "Kt composed": kt_ref,
                     "Kr direct": kr_ref, "Kr composed": kr_ref}

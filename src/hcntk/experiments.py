@@ -624,7 +624,6 @@ def run_experiment(cfg, out_dir):
     """Run a validated config, writing rows.csv and summary.json into out_dir."""
     kind = cfg["kind"]
     _log(f"running {kind} -> {out_dir}")
-    os.makedirs(out_dir, exist_ok=True)
     result = KIND_RUNNERS[kind](cfg, out_dir)
     rows_path = os.path.join(out_dir, "rows.csv")
     io.write_csv(

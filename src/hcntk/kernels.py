@@ -7,7 +7,9 @@ K_t and K_r each have two permanently tested construction paths:
   gradients (combine, then Gram);
 * composed — build the component kernels of each derivative order first and
   combine them afterwards (Gram, then combine): diag(B) K_n diag(B) for
-  K_t, the nine-term coefficient formula for K_r.
+  K_t, and for K_r, whose residual is r = w . (N, grad N, lap N) with
+  w = (alpha, beta, gamma), the law K_r = sum_{a,b} diag(w_a) G_ab diag(w_b),
+  where G_ab = G_ba^T is the Gram of outputs a and b.
 
 Every Gram comes from ``net.factored_grams``. Per layer, the weight gradient
 of a pointwise output combination at one point is a sum of K = d + 2 outer
@@ -33,9 +35,10 @@ to the process, so two threads must not assemble at once.
 The component kernels are the exception: ``component_kernels`` builds
 them outside the workspace, one pair of outputs at a time, in arrays
 freed on return. They depend on the network and the points alone, so a
-K_r sweep that composes builds them once and keeps only the stack;
-``sweep_path`` says where it composes (where the stack is no larger than
-the network) and where it assembles each K_r directly.
+K_r sweep that composes builds them once and keeps only the stack, one
+N x N Gram per ``output_pairs`` entry; ``sweep_path`` says where it
+composes (where the stack is no larger than the network) and where it
+assembles each K_r directly.
 """
 
 from dataclasses import dataclass
@@ -136,14 +139,16 @@ def assemble_kt(params, pair, points, path="composed"):
     raise ValueError(f"unknown path '{path}'")
 
 
-def component_kernels(params, points):
-    """The six derivative-order component kernels of the residual formula.
+def output_pairs(d):
+    """The (2 + d)(3 + d) / 2 pairs a <= b of the outputs value, grad_0..grad_{d-1}, lap."""
+    return [(a, b) for a in range(2 + d) for b in range(a, 2 + d)]
 
-    Returns a dict with entries (shapes for d = input dim, N points):
-      nn (N,N), ngrad (d,N,N), gradgrad (d,d,N,N), nlap (N,N),
-      gradlap (d,N,N), laplap (N,N).
-    Cross kernels are stored one-sided; their transposes follow from the
-    inner-product symmetry (checked in tests).
+
+def component_kernels(params, points):
+    """The component kernels of the composition law, {(a, b): G_ab} over ``output_pairs``.
+
+    G_ab (N, N) is the Gram [<dF_a(x_i)/dtheta, dF_b(x_j)/dtheta>]_ij of
+    outputs a and b; the pairs b < a are left out, since G_ba = G_ab^T.
 
     The components are built outside the assembly workspace, in arrays
     freed on return, and each pair of outputs takes its own
@@ -156,60 +161,51 @@ def component_kernels(params, points):
     st = net.forward(params, x, order=2)
     n, d = x.shape
     zbar, ubar, tbar = net.output_seeds(n, d, 2)
-    lap = 1 + d  # output order: value 0, grad_m 1 + m, lap 1 + d
 
-    def gram(c, c2):
-        # The Gram of outputs c <= c2, seeding only the orders they use.
-        rows = [c] if c == c2 else [c, c2]
-        seeds = (zbar[rows], ubar[rows] if c2 > 0 else None, tbar[rows] if c2 == lap else None)
+    def gram(a, b):
+        # Seed only the orders the two outputs use.
+        rows = [a] if a == b else [a, b]
+        seeds = (zbar[rows], ubar[rows] if b > 0 else None, tbar[rows] if b == 1 + d else None)
         return net.factored_grams(params, st, *seeds, pairs=((0, len(rows) - 1),))[0]
 
-    ngrad, gradlap, gradgrad = np.empty((d, n, n)), np.empty((d, n, n)), np.empty((d, d, n, n))
-    for m in range(d):
-        ngrad[m] = gram(0, 1 + m)
-        gradlap[m] = gram(1 + m, lap)
-        gradgrad[m, m] = gram(1 + m, 1 + m)
-        for k in range(m + 1, d):  # gradgrad[k, m] is the transpose of [m, k]
-            gradgrad[m, k] = gram(1 + m, 1 + k)
-            gradgrad[k, m] = gradgrad[m, k].T
-    return {"nn": gram(0, 0), "ngrad": ngrad, "gradgrad": gradgrad, "nlap": gram(0, lap),
-            "gradlap": gradlap, "laplap": gram(lap, lap)}
+    return {(a, b): gram(a, b) for a, b in output_pairs(d)}
 
 
 def compose_kr(comp, coeff):
-    """Nine-term combination of component kernels with the (alpha, beta, gamma) fields."""
-    alpha, beta, gamma = coeff.alpha, coeff.beta, coeff.gamma
-    d = beta.shape[1]
-    k = alpha[:, None] * alpha[None, :] * comp["nn"]
-    for m in range(d):
-        k += alpha[:, None] * beta[None, :, m] * comp["ngrad"][m]
-        k += beta[:, m, None] * comp["ngrad"][m].T * alpha[None, :]
-        for kx in range(d):
-            k += beta[:, m, None] * comp["gradgrad"][m, kx] * beta[None, :, kx]
-        k += beta[:, m, None] * comp["gradlap"][m] * gamma[None, :]
-        k += gamma[:, None] * beta[None, :, m] * comp["gradlap"][m].T
-    k += alpha[:, None] * gamma[None, :] * comp["nlap"]
-    k += gamma[:, None] * alpha[None, :] * comp["nlap"].T
-    k += gamma[:, None] * gamma[None, :] * comp["laplap"]
+    """K_r = sum_{a <= b} diag(w_a) G_ab diag(w_b), plus its transpose for a != b.
+
+    w = (alpha, beta_0..beta_{d-1}, gamma) are the residual's pointwise
+    weights of the outputs, and ``comp`` the ``component_kernels``, which
+    are only read. Each term is formed in one N x N scratch array.
+    """
+    w = np.vstack((coeff.alpha, coeff.beta.T, coeff.gamma))
+    n = w.shape[1]
+    k, term = np.zeros((n, n)), np.empty((n, n))
+    for (a, b), g in comp.items():
+        np.multiply(w[a][:, None], g, out=term)
+        term *= w[b]
+        k += term
+        if a != b:
+            k += term.T
     return k
 
 
 def sweep_path(params, n_points):
     """The ``assemble_kr`` path of a sweep over boundary functions on one network and grid.
 
-    Composed where the component stack, (3 + 2d + d^2) N^2 floats, is no
-    larger than the network's parameter count, direct elsewhere. The stack
-    a sweep keeps is then never larger than the network it belongs to, and
-    composing one K_r from it takes about the stack's size in operations,
-    against the direct assembly's reverse pass over the parameters at
-    every point.
+    Composed where the component stack, one N^2 Gram per ``output_pairs``
+    entry, is no larger than the network's parameter count, direct
+    elsewhere. The stack a sweep keeps is then never larger than the
+    network it belongs to, and composing one K_r from it takes about the
+    stack's size in operations, against the direct assembly's reverse pass
+    over the parameters at every point.
     """
-    d = params.input_dim
-    return "composed" if (3 + 2 * d + d * d) * n_points**2 <= params.param_count() else "direct"
+    stack = len(output_pairs(params.input_dim)) * n_points**2
+    return "composed" if stack <= params.param_count() else "direct"
 
 
 def assemble_kr(params, problem, pair, points, path="direct", comp=None):
-    """Residual kernel: Gram of J_r rows, or the nine-term composed formula.
+    """Residual kernel: Gram of J_r rows, or the composition law over ``component_kernels``.
 
     J_r(r_i) = alpha_i dN/dtheta + beta_i . d(grad N)/dtheta
              + gamma_i d(lap N)/dtheta.

@@ -17,7 +17,7 @@ GRID_MODES = ("inclusive", "interior", "trimmed")
 def build_grid(dim, n_per_axis, mode):
     """Collocation grid in one of three boundary treatments.
 
-    inclusive: endpoints on the boundary; interior: (i+0.5)/n offsets;
+    inclusive: endpoints on the boundary; interior: (i+1)/(n+1), i = 0..n-1;
     trimmed: inclusive grid with exact-boundary points dropped (the mode the
     kernel studies use).
     """

@@ -71,20 +71,22 @@ class TestInvarianceVerb:
         cfg = write_cfg(tmp_path, "c.yaml", bad)
         assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("families,extra", [
-        ([{"family": "spline", "params": {"alpha": 1.0}}], {}),
-        ([{"family": "mixed_power2d", "params": {"alpha": 1.0}}], {}),
-        ([{"family": "power", "params": {"alpha": 1.0}},
-          {"family": "power2d", "params": {"alpha": 1.0}}], {}),
-        ([{"family": "power", "params": {"alpha": 1.0}}],
-         {"kind": "kr-spectrum", "benchmark": "diffusion2d",
-          "network": {"hidden": [12, 12], "activation": "tanh"}}),
-    ], ids=["unknown-family", "missing-beta", "mixed-dims", "1d-family-on-2d-benchmark"])
-    def test_bad_family_exit_code(self, tmp_path, capsys, families, extra):
-        cfg = write_cfg(tmp_path, "c.yaml", kt_cfg(families=families, **extra))
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    @pytest.mark.parametrize("verb,make", [
+        ("spectrum", lambda: kt_cfg(families=[{"family": "spline", "params": {"alpha": 1.0}}])),
+        ("spectrum", lambda: kt_cfg(families=[{"family": "mixed_power2d", "params": {"alpha": 1.0}}])),
+        ("spectrum", lambda: kt_cfg(families=[{"family": "power", "params": {"alpha": 1.0}},
+                                              {"family": "power2d", "params": {"alpha": 1.0}}])),
+        ("spectrum", lambda: kt_cfg(families=[{"family": "power", "params": {"alpha": 1.0}}],
+                                    kind="kr-spectrum", benchmark="diffusion2d",
+                                    network={"hidden": [12, 12], "activation": "tanh"})),
+        ("dynamics", lambda: {**dynamics_cfg(), "families": [{"family": "power2d", "params": {"alpha": 1.0}}]}),
+    ], ids=["unknown-family", "missing-beta", "mixed-dims", "1d-family-on-2d-benchmark",
+            "2d-family-on-1d-dynamics"])
+    def test_bad_family_exit_code(self, tmp_path, capsys, verb, make):
+        cfg = write_cfg(tmp_path, "c.yaml", make())
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "rows.csv").exists()
+        assert not (tmp_path / "o").exists()
 
 
 def dynamics_cfg():

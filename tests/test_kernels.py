@@ -152,7 +152,7 @@ class TestAssembleKr:
         p = make_params(8)
         kr = kernels.assemble_kr(p, prob, ConstPair(), pts, path="composed").a
         comp = kernels.component_kernels(p, pts)
-        assert np.abs(kr - 0.49 * comp["laplap"]).max() <= 1e-10 * np.abs(kr).max()
+        assert np.abs(kr - 0.49 * comp[2, 2]).max() <= 1e-10 * np.abs(kr).max()
 
     def test_psd_all_three(self, poisson, quad_pair, pts):
         p = make_params(5)
@@ -169,26 +169,38 @@ class TestAssembleKr:
             kernels.assemble_kr(make_params(1, activation="relu"), poisson, quad_pair, pts)
 
 
+# (benchmark, family, family parameters) per input dimension: each family
+# weights the axes differently, so every gradient output has its own weight.
+ASYM_SETUPS = {
+    1: ("diffusion1d_sincos", "power_asym", {"alpha": 2.0}),
+    2: ("diffusion2d", "mixed_power2d", {"alpha": 1.0, "beta": 2.0}),
+    3: ("diffusion3d", "mixed_power_asym3d", {"alpha": 1.0, "beta": 2.0, "gamma": 3.0}),
+}
+
+
 class TestComponentKernels:
     def test_transpose_relations(self, pts):
-        # cross kernels satisfy K_{dN,N} = K_{N,dN}^T etc.; with one-sided
-        # storage this shows up as exact consistency with explicit Jacobians
+        # only the pairs a <= b are stored: G_ba = G_ab^T
         p = make_params(12, sizes=(1, 10, 10, 1))
         comp = kernels.component_kernels(p, pts)
         j0, j1, j2 = net.param_jacobians(p, pts, order=2)
-        assert np.allclose(comp["nn"], j0 @ j0.T, atol=1e-10)
-        assert np.allclose(comp["ngrad"][0], j0 @ j1[:, 0, :].T, atol=1e-10)
-        assert np.allclose(comp["nlap"], j0 @ j2.T, atol=1e-10)
-        assert np.allclose(comp["gradlap"][0], j1[:, 0, :] @ j2.T, atol=1e-10)
-        assert np.allclose(comp["laplap"], j2 @ j2.T, atol=1e-10)
+        js = [j0, j1[:, 0], j2]
+        assert list(comp) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        for (a, b), g in comp.items():
+            assert np.allclose(g, js[a] @ js[b].T, atol=1e-10)
 
-    def test_gradgrad_symmetric_pairing(self):
-        p = make_params(13, sizes=(2, 8, 1))
-        pts2 = boundary.trim_boundary(boundary.grid(2, 5, include_boundary=True))
-        comp = kernels.component_kernels(p, pts2)
-        for m in range(2):
-            for k in range(2):
-                assert np.allclose(comp["gradgrad"][m, k], comp["gradgrad"][k, m].T, atol=1e-12)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_composed_kr_equals_direct(self, d):
+        # the composition law against the Gram of the combined residual rows
+        bench, family, fparams = ASYM_SETUPS[d]
+        prob, pair = pde.benchmark(bench), boundary.make_pair(family, fparams)
+        x = boundary.trim_boundary(boundary.grid(d, (14, 7, 5)[d - 1], include_boundary=True))
+        p = make_params(3, sizes=(d, 16, 16, 1))
+        comp = kernels.component_kernels(p, x)
+        direct = kernels.assemble_kr(p, prob, pair, x, path="direct").a
+        for k in (kernels.compose_kr(comp, pde.coefficients(prob.op, pair, x)),
+                  kernels.assemble_kr(p, prob, pair, x, path="composed", comp=comp).a):
+            assert np.linalg.norm(k - direct) / np.linalg.norm(direct) <= 1e-14
 
 
 class TestTrialEval:
@@ -306,14 +318,10 @@ class TestFactoredGramsMatchJacobianGrams:
     def test_component_kernels(self, act, d, hidden):
         params, x, _, _, j0, j1, j2 = _oracle_setup(act, d, hidden)
         comp = kernels.component_kernels(params, x)
-        _assert_gram(comp["nn"], j0 @ j0.T)
-        _assert_gram(comp["nlap"], j0 @ j2.T)
-        _assert_gram(comp["laplap"], j2 @ j2.T)
-        for m in range(d):
-            _assert_gram(comp["ngrad"][m], j0 @ j1[:, m].T)
-            _assert_gram(comp["gradlap"][m], j1[:, m] @ j2.T)
-            for k in range(d):
-                _assert_gram(comp["gradgrad"][m, k], j1[:, m] @ j1[:, k].T)
+        js = [j0, *(j1[:, m] for m in range(d)), j2]
+        assert list(comp) == [(a, b) for a in range(2 + d) for b in range(a, 2 + d)]
+        for (a, b), g in comp.items():
+            _assert_gram(g, js[a] @ js[b].T)
 
     def test_cross_grams_of_general_combinations(self):
         # Three combinations with different zero patterns: all outputs, value
@@ -406,10 +414,13 @@ def test_contraction_per_layer(monkeypatch, d, hidden, n_axis):
 
 @pytest.mark.parametrize("sizes,n,path", [
     ((1, 500, 500, 1), 98, "composed"),  # 57.6k floats of components, 252k parameters
-    ((2, 64, 64, 1), 484, "direct"),  # 2.58M against 4.4k
+    ((2, 64, 64, 1), 484, "direct"),  # 2.34M against 4.4k
     ((3, 64, 64, 1), 1000, "direct"),
     ((1, 32, 32, 1), 13, "composed"),  # 1014 against 1153
     ((1, 32, 32, 1), 14, "direct"),  # 1176 against 1153
+    ((2, 40, 40, 1), 13, "composed"),  # 10 Grams: 1690 against 1801
+    ((3, 40, 40, 1), 11, "composed"),  # 15 Grams: 1815 against 1841
+    ((3, 40, 40, 1), 12, "direct"),  # 2160 against 1841
 ])
 def test_sweep_path_composes_where_the_stack_is_no_larger_than_the_network(sizes, n, path):
     assert kernels.sweep_path(net.init_kaiming_uniform(sizes, "tanh", 0), n) == path
@@ -433,9 +444,18 @@ def _assemblies(params, prob, pair, x):
         "kt composed": [kernels.assemble_kt(params, pair, x, path="composed").a],
         "kr direct": [kernels.assemble_kr(params, prob, pair, x, path="direct").a],
         "kr composed": [kernels.assemble_kr(params, prob, pair, x, path="composed").a],
-        "components": [comp["nn"], comp["ngrad"], comp["gradgrad"], comp["nlap"], comp["gradlap"],
-                       comp["laplap"]],
+        "components": list(comp.values()),
     }
+
+
+def _traced_peak(assemble):
+    """The ``tracemalloc`` peak in bytes of one ``assemble()`` call, and the kernel array it returns."""
+    tracemalloc.start()
+    try:
+        gram = assemble().a
+        return tracemalloc.get_traced_memory()[1], gram
+    finally:
+        tracemalloc.stop()
 
 
 class TestWorkspace:
@@ -519,10 +539,14 @@ class TestWorkspace:
             keys = set(kernels._ws)
             assemble()
             assert set(kernels._ws) == keys  # the workspace keeps nothing beyond what K_n keeps
-        tracemalloc.start()
-        try:
-            gram = assemble().a
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, gram = _traced_peak(assemble)
         assert peak <= gram.nbytes + 2**20, f"warm peak {peak / 2**20:.2f} MiB"
+
+    def test_warm_composed_kr_allocates_two_grams(self):
+        # the returned Gram and one term of the sum, at the 2D desk size
+        params, prob, pair, x = _ws_case(2, (64, 64), 24)
+        comp = kernels.component_kernels(params, x)
+        assemble = lambda: kernels.assemble_kr(params, prob, pair, x, path="composed", comp=comp)
+        assemble()
+        peak, gram = _traced_peak(assemble)
+        assert peak <= 2 * gram.nbytes + 2**20, f"warm peak {peak / 2**20:.2f} MiB"

@@ -9,9 +9,10 @@ sweep takes it, from component kernels built beforehand, so its line is
 the per-family compose; the ``components`` line is their one-time build
 (``component_kernels``), with its ``tracemalloc`` peak in the ``build
 peak`` line, and the ``sweep path`` line says which path
-``kernels.sweep_path`` picks at that size. For each assembly it prints the
-time and minor page faults (``getrusage``) of its first, cold call, which
-starts from an empty assembly workspace, and the best time of
+``kernels.sweep_path`` picks at that size for a sweep of one seed and for
+one of several. For each assembly it prints the time and minor page
+faults (``getrusage``) of its first, cold call, which starts from an
+empty assembly workspace, and the best time of
 ``--repeats`` warm calls with their faults per call. Per layer of
 ``net.factored_grams`` it prints, over the warm calls, which
 contraction the layer took (``factored`` sum of Hadamard products, or
@@ -156,7 +157,7 @@ def layer_rows(runs, params):
     """(layer label, contraction, best seconds) per layer, plus the rest of ``factored_grams``.
 
     Each run holds the calls of one assembly, which makes at most one
-    ``factored_grams`` call.
+    ``factored_grams`` call, for one Gram.
     """
     rows = {}
     n_layers = params.n_layers
@@ -213,7 +214,8 @@ def main():
             params = net.init_kaiming_uniform((problem.dim, *hidden, 1), "tanh", 0)
             n, d = points.shape
             print(f"\n{label}: N={n} P={params.param_count()}")
-            print(f"  sweep path {kernels.sweep_path(params, n)}: component stack "
+            print(f"  sweep path {kernels.sweep_path(params, n, 1)} for one seed, "
+                  f"{kernels.sweep_path(params, n, 2)} for several: component stack "
                   f"{len(kernels.output_pairs(d)) * n * n} floats against {params.param_count()} parameters")
             kernels._ws.clear()
             build = lambda: kernels.component_kernels(params, points)

@@ -5,7 +5,7 @@ Every family is a product of one-dimensional factors, one per axis (the
 the product rule from exact 1D factor derivatives.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,15 +204,7 @@ class BoundaryFeatures:
     b2_tv: float
 
     def as_dict(self):
-        return {
-            "grad_l2": self.grad_l2,
-            "tv": self.tv,
-            "gini": self.gini,
-            "dyn_range": self.dyn_range,
-            "curv_l2": self.curv_l2,
-            "b2_max": self.b2_max,
-            "b2_tv": self.b2_tv,
-        }
+        return asdict(self)
 
 
 def make_pair(family, params):

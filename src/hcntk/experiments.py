@@ -139,8 +139,8 @@ def _network(sizes, activation, seed):
     return params
 
 
-# One entry, for the same reason: a K_r sweep asks for the components of one
-# seed's network for every family before it moves to the next seed.
+# One entry: only a one-seed K_r sweep composes (``kernels.sweep_path``), and
+# it asks for the components of its one network for every family.
 @functools.lru_cache(maxsize=1)
 def _components(sizes, activation, seed, dim, n_per_axis, mode):
     """``kernels.component_kernels`` of ``_network``'s network on ``train.build_grid``'s grid.
@@ -273,9 +273,9 @@ def run_kn_invariance(cfg, out_dir):
 def _spectrum_sweep(cfg, out_dir, which):
     """The rows of a K_t or K_r sweep, in (family, seed) order, and their failures.
 
-    Seeds are the outer loop, so each seed's network, and the component
-    kernels of a K_r sweep on the composed ``kernels.sweep_path``, are
-    built once for all families.
+    A K_r sweep takes ``kernels.sweep_path``'s path; where that composes
+    (one seed), the seed's component kernels are built once for all
+    families.
     """
     seeds = _seeds(cfg)
     problem = pde.benchmark(cfg["benchmark"]) if which == "kr" else None
@@ -286,22 +286,19 @@ def _spectrum_sweep(cfg, out_dir, which):
     sizes = network_sizes(cfg, input_dim=dim)
     activation = _activation(cfg)
     feats = [boundary.features(pair, points).as_dict() for pair in pairs]
-    rows, failures = [None] * (len(pairs) * len(seeds)), []
-    for s, seed in enumerate(seeds):
-        params = _network(sizes, activation, seed)
-        comp = None
-        if which == "kr" and kernels.sweep_path(params, len(points)) == "composed":
-            comp = _components(sizes, activation, seed, *grid)
-        for f, (fam, pair) in enumerate(zip(cfg["families"], pairs)):
-            index = f * len(seeds) + s
+    rows, failures = [], []
+    for fam, pair, feat in zip(cfg["families"], pairs, feats):
+        for seed in seeds:
+            params = _network(sizes, activation, seed)
             row = {**_fam_coords(fam), "seed": seed, "status": "ok",
-                   **{c: float("nan") for c in SPECTRUM_COLS}, **feats[f]}
+                   **{c: float("nan") for c in SPECTRUM_COLS}, **feat}
             try:
                 if which == "kt":
                     mat = kernels.assemble_kt(params, pair, points, path="composed")
                 else:
-                    mat = kernels.assemble_kr(params, problem, pair, points,
-                                              path="direct" if comp is None else "composed", comp=comp)
+                    path = kernels.sweep_path(params, len(points), len(seeds))
+                    comp = _components(sizes, activation, seed, *grid) if path == "composed" else None
+                    mat = kernels.assemble_kr(params, problem, pair, points, path=path, comp=comp)
                 row.update(eig_sym(mat).metrics())
                 _persist(cfg, out_dir, f"{which}_{_fam_tag(fam)}_s{seed}", mat)
                 if which == "kr" and cfg.get("output", {}).get("persist_kernels", False):
@@ -309,10 +306,9 @@ def _spectrum_sweep(cfg, out_dir, which):
                     if not os.path.exists(coeff_path):
                         pde.dump_coefficients(problem.op, pair, points, coeff_path)
             except (EigFailure, SingularCoefficient) as exc:
-                _fail(row, exc, index, failures)
-            rows[index] = row
-        _log(f"  seed {seed}: done")
-    failures.sort(key=lambda fl: fl["row"])
+                _fail(row, exc, len(rows), failures)
+            rows.append(row)
+        _log(f"  {_fam_tag(fam)}: done")
     return rows, failures
 
 
@@ -661,8 +657,12 @@ def report(result_dir, out_dir=None):
     """Consolidate summary.json files under result_dir into one report.
 
     Each experiment's thresholds (embedded in its config) are evaluated
-    against its metrics; mixed schema versions raise SchemaError.
+    against its metrics; mixed schema versions raise SchemaError, and a
+    ``result_dir`` that is not a directory FileNotFoundError, before
+    anything is written.
     """
+    if not os.path.isdir(result_dir):
+        raise FileNotFoundError(f"no result directory '{result_dir}'")
     summaries = []
     for root, _, files in os.walk(result_dir):
         if "summary.json" in files:

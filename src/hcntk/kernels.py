@@ -33,12 +33,13 @@ workspace. Every returned kernel is a fresh array. The workspace belongs
 to the process, so two threads must not assemble at once.
 
 The component kernels are the exception: ``component_kernels`` builds
-them outside the workspace, one pair of outputs at a time, in arrays
-freed on return. They depend on the network and the points alone, so a
-K_r sweep that composes builds them once and keeps only the stack, one
-N x N Gram per ``output_pairs`` entry; ``sweep_path`` says where it
-composes (where the stack is no larger than the network) and where it
-assembles each K_r directly.
+them outside the workspace, one ``net.factored_grams`` call per pair of
+outputs, in arrays freed on return. They depend on the network and the
+points alone, so a K_r sweep that composes builds them once and keeps
+only the stack, one N x N Gram per ``output_pairs`` entry.
+``sweep_path`` is the one place that picks a sweep's K_r path: a sweep
+of one seed composes where the stack is no larger than the network, and
+every other sweep assembles each K_r directly.
 """
 
 from dataclasses import dataclass
@@ -121,7 +122,7 @@ def assemble_kn(params, points):
     if x.shape[0] < 1:
         raise ValueError("points must be nonempty")
     st = net.forward(params, x, order=0, ws=_workspace(params, x))
-    return SymMatrix(net.factored_grams(params, st, np.ones((1, x.shape[0])))[0])
+    return SymMatrix(net.factored_grams(params, st, np.ones((1, x.shape[0]))))
 
 
 def assemble_kt(params, pair, points, path="composed"):
@@ -135,7 +136,7 @@ def assemble_kt(params, pair, points, path="composed"):
         return _symmetrize(kn, _workspace(params, x))
     if path == "direct":
         st = net.forward(params, x, order=0, ws=_workspace(params, x))
-        return SymMatrix(net.factored_grams(params, st, b[None, :])[0])
+        return SymMatrix(net.factored_grams(params, st, b[None, :]))
     raise ValueError(f"unknown path '{path}'")
 
 
@@ -152,10 +153,10 @@ def component_kernels(params, points):
 
     The components are built outside the assembly workspace, in arrays
     freed on return, and each pair of outputs takes its own
-    ``net.factored_grams`` call, so the build never holds the (2 + d)
-    stacked adjoints or their Phi. A sweep builds them once per network
-    and points (see ``sweep_path``), and the workspace keeps nothing of a
-    build.
+    ``net.factored_grams`` call (output a's own Gram for a = b, the cross
+    Gram of a with b otherwise), so the build never holds the (2 + d)
+    stacked adjoints or their Phi. A one-seed sweep builds them once (see
+    ``sweep_path``), and the workspace keeps nothing of a build.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     st = net.forward(params, x, order=2)
@@ -166,7 +167,7 @@ def component_kernels(params, points):
         # Seed only the orders the two outputs use.
         rows = [a] if a == b else [a, b]
         seeds = (zbar[rows], ubar[rows] if b > 0 else None, tbar[rows] if b == 1 + d else None)
-        return net.factored_grams(params, st, *seeds, pairs=((0, len(rows) - 1),))[0]
+        return net.factored_grams(params, st, *seeds)
 
     return {(a, b): gram(a, b) for a, b in output_pairs(d)}
 
@@ -190,16 +191,20 @@ def compose_kr(comp, coeff):
     return k
 
 
-def sweep_path(params, n_points):
-    """The ``assemble_kr`` path of a sweep over boundary functions on one network and grid.
+def sweep_path(params, n_points, n_seeds):
+    """The ``assemble_kr`` path of a sweep over boundary functions on ``n_seeds`` networks and one grid.
 
-    Composed where the component stack, one N^2 Gram per ``output_pairs``
-    entry, is no larger than the network's parameter count, direct
-    elsewhere. The stack a sweep keeps is then never larger than the
-    network it belongs to, and composing one K_r from it takes about the
-    stack's size in operations, against the direct assembly's reverse pass
-    over the parameters at every point.
+    A sweep of one seed composes where the component stack, one N^2 Gram
+    per ``output_pairs`` entry, is no larger than the network's parameter
+    count, and assembles directly elsewhere. The stack it keeps is then
+    never larger than the network it belongs to, and composing one K_r
+    from it takes about the stack's size in operations, against the direct
+    assembly's reverse pass over the parameters at every point. A sweep of
+    several seeds assembles directly: each seed's network has components of
+    its own, whose build costs several direct assemblies.
     """
+    if n_seeds > 1:
+        return "direct"
     stack = len(output_pairs(params.input_dim)) * n_points**2
     return "composed" if stack <= params.param_count() else "direct"
 
@@ -220,7 +225,7 @@ def assemble_kr(params, problem, pair, points, path="direct", comp=None):
         return _symmetrize(compose_kr(comp, coeff), _workspace(params, x))
     if path == "direct":
         st = net.forward(params, x, order=2, ws=_workspace(params, x))
-        k = net.factored_grams(params, st, coeff.alpha[None], coeff.beta[None], coeff.gamma[None])
-        return SymMatrix(k[0])
+        return SymMatrix(net.factored_grams(params, st, coeff.alpha[None], coeff.beta[None],
+                                            coeff.gamma[None]))
     raise ValueError(f"unknown path '{path}'")
 

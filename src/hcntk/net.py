@@ -23,13 +23,12 @@ _SELU_ALPHA = 1.6732632423543772
 class Activation:
     """Elementwise activation with derivatives up to third order.
 
-    ``eval_derivs(z, order, out=None)`` returns (a, s1, s2, s3); entries
-    above the requested order (and above ``max_order``) are None. The
-    entries are written into the ``n_arrays(order)`` arrays of ``out``
-    (fresh arrays like ``z`` when it is None). Derivatives are expressed
-    through the activation value where possible so each is a cheap
-    elementwise expression; the in-place steps keep the operand order of
-    the plain expressions, so both give the same bits.
+    ``eval_derivs(z, order, out)`` returns (a, s1, s2, s3); entries above
+    the requested order (and above ``max_order``) are None. The entries
+    are written into the ``n_arrays(order)`` arrays of ``out``.
+    Derivatives are expressed through the activation value where possible
+    so each is a cheap elementwise expression; the in-place steps keep the
+    operand order of the plain expressions, so both give the same bits.
     """
 
     def __init__(self, name, derivs, max_order, s3_is_s2=False):
@@ -44,9 +43,7 @@ class Activation:
             return 2
         return 3 if self._s3_is_s2 else 4
 
-    def eval_derivs(self, z, order, out=None):
-        if out is None:
-            out = [np.empty_like(z) for _ in range(self.n_arrays(order))]
+    def eval_derivs(self, z, order, out):
         return self._derivs(z, order, *out, *[None] * (4 - len(out)))
 
 
@@ -527,14 +524,16 @@ def _left_support(zbar, ubar, tbar):
     return support
 
 
-def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
-    """Grams of the parameter gradients of per-point output combinations.
+def factored_grams(params, st, zbar, ubar=None, tbar=None):
+    """The Gram of the parameter gradients of one or two per-point output combinations.
 
     Combination c at point x_i is F_c(x_i) = zbar[c, i] N(x_i)
     + ubar[c, i] . grad N(x_i) + tbar[c, i] lap N(x_i); the seeds have
-    shapes (C, N), (C, N, d) and (C, N), and ubar/tbar are None to leave
-    those outputs out. Returns an array of shape (len(pairs), N, N) whose
-    entry for the pair (c, c') is [<dF_c(x_i)/dtheta, dF_c'(x_j)/dtheta>]_ij.
+    shapes (C, N), (C, N, d) and (C, N) with C = 1 or 2, and ubar/tbar are
+    None to leave those outputs out. Returns the (N, N) Gram
+    [<dF_c(x_i)/dtheta, dF_c'(x_j)/dtheta>]_ij of the first combination c
+    with the last c': the combination's own Gram for C = 1, the cross Gram
+    of the two for C = 2.
 
     Layer l's weight gradient of F_c at x_i is a sum of K = d + 2 outer
     products Phi_c[i] = sum_k L_k[i] (x) R_k[i]: the left factors are the
@@ -545,27 +544,29 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
     (``_phi_is_cheaper``):
 
     * factored: sum_{k,k'} (L_k L_k'^T) o (R_k R_k'^T) + L_0 L_0^T, one
-      (k, k') pair at a time, with each R_k R_k'^T shared by all pairs;
-      about K^2 (n_{l-1} + n_l) per entry;
+      (k, k') pair at a time; about K^2 (n_{l-1} + n_l) per entry;
     * through Phi: the per-point gradients themselves, an
       N x n_l (n_{l-1} + 1) block of Phi_c, contracted as Phi_c Phi_c'^T;
-      n_l (n_{l-1} + 1) per entry and pair.
+      n_l (n_{l-1} + 1) per entry.
 
     With all K factors, Phi wins on the thin layers, the input layer (whose
     right factors are d wide) and the scalar output layer; with the single
-    factor of the value alone, on the output layer only. The factored sum
-    wins on the square hidden layers, where Phi would hold N n_l n_{l-1}
-    entries. Because a layer goes through Phi only when n_l (n_{l-1} + 1)
-    is below its factored count, Phi never holds more than O(K^2 N width)
-    entries per combination. The Phi blocks of all such layers sit side by
-    side, so each pair takes them in one matrix product. Scratch is two
-    N x N arrays plus Phi and the contiguous copies of the factors, all
-    taken from the state's workspace (fresh without one), and no N x P
-    array is formed. The returned Grams are always a fresh array. Diagonal
-    pairs (c, c) take k <= k' in the factored sum and are returned exactly
-    symmetric.
+    factor of the value alone, on the output layer only, which costs
+    n_{l-1} + 2 per entry through Phi against at least n_{l-1} + 3
+    factored, so Phi is never empty. The factored sum wins on the square
+    hidden layers, where Phi would hold N n_l n_{l-1} entries. Because a
+    layer goes through Phi only when n_l (n_{l-1} + 1) is below its
+    factored count, Phi never holds more than O(K^2 N width) entries per
+    combination. The Phi blocks of all such layers sit side by side, so
+    the Gram takes them in one matrix product. Scratch is two N x N arrays
+    plus Phi and the contiguous copies of the factors, all taken from the
+    state's workspace (fresh without one), and no N x P array is formed.
+    The returned Gram is always a fresh array. A one-combination Gram takes
+    k <= k' in the factored sum and is returned exactly symmetric.
     """
     n, d = st.x.shape
+    if zbar.shape[0] not in (1, 2):
+        raise ValueError("factored_grams takes one or two combinations")
     if (ubar is not None and st.order < 1) or (tbar is not None and (st.order < 2 or ubar is None)):
         raise ValueError("the seeds need a forward state of matching order")
     support = _left_support(zbar, ubar, tbar)
@@ -576,17 +577,17 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
         has_right = [True] * n_factors
         if tbar is not None and l == 1:
             has_right[-1] = False  # the inputs have no Laplacian
-        plan = _factored_plan(pairs, support, has_right)
+        plan = _factored_plan(support, has_right)
         n_l, n_prev = params.weights[l - 1].shape
-        if _phi_is_cheaper(plan, len(pairs), n_l, n_prev):
+        if _phi_is_cheaper(plan, n_l, n_prev):
             phi_layers.append(l)
         else:
             plans[l] = plan
     phi_cols = sum(params.weights[l - 1].size + params.biases[l - 1].size for l in phi_layers)
     ws = st.ws
-    phi = _take(ws, "phi", (zbar.shape[0], n, phi_cols)) if phi_layers else None
+    phi = _take(ws, "phi", (zbar.shape[0], n, phi_cols))
     scratch = _take(ws, "gram scratch", (2, n, n))
-    out = np.zeros((len(pairs), n, n))
+    out = np.zeros((n, n))
     col = 0
     for l, zb, ub, tb in _reverse_layers(params, st, *seeds):
         lefts, rights = [zb], [st.a[l - 1]]
@@ -608,30 +609,28 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None, pairs=((0, 0),)):
                                    lefts, rights, ws)
             col += width
     gram, half = scratch
-    for p, (c, c2) in enumerate(pairs):
-        if phi is not None:
-            np.matmul(phi[c], phi[c2].T, out=gram)
-        if c == c2:  # complete the k <= k' half sum, then add the Phi Gram
-            np.add(out[p], out[p].T, out=half)
-            if phi is None:
-                np.copyto(out[p], half)
-            else:
-                np.add(half, gram, out=out[p])
-        elif phi is not None:
-            out[p] += gram
+    np.matmul(phi[0], phi[-1].T, out=gram)
+    if len(support) == 1:  # complete the k <= k' half sum, then add the Phi Gram
+        np.add(out, out.T, out=half)
+        np.add(half, gram, out=out)
+    else:
+        out += gram
     return out
 
 
-def _factored_plan(pairs, support, has_right):
+def _factored_plan(support, has_right):
     """The steps of one layer's factored sum: ``(k, k', terms)`` for k <= k'.
 
-    Each term ``(p, c, c', transposed, halved)`` adds (L_k[c] L_k'[c']^T)
-    o (R_k R_k'^T) to pair p = (c, c'); a transposed term is the (k', k)
-    term of an off-diagonal pair, (L_k'[c] L_k[c']^T) o (R_k R_k'^T)^T.
-    Diagonal pairs take k <= k' only, with the k = k' terms halved, and are
-    completed by adding their transpose. Factors without a right factor,
-    or zero in every combination of a pair, add no term.
+    Each term ``(transposed, halved)`` adds (L_k[c] L_k'[c']^T) o (R_k
+    R_k'^T) to the Gram of combination c with c', the first with the last;
+    a transposed term is the (k', k) term of a cross Gram, (L_k'[c]
+    L_k[c']^T) o (R_k R_k'^T)^T. A one-combination Gram takes k <= k' only,
+    with the k = k' terms halved, and is completed by adding its transpose.
+    Factors without a right factor, or zero in the combination that takes
+    them, add no term.
     """
+    first, last = support[0], support[-1]
+    cross = len(support) > 1
     plan = []
     n_factors = len(has_right)
     for k in range(n_factors):
@@ -639,27 +638,26 @@ def _factored_plan(pairs, support, has_right):
             if not (has_right[k] and has_right[k2]):
                 continue
             terms = []
-            for p, (c, c2) in enumerate(pairs):
-                if k in support[c] and k2 in support[c2]:
-                    terms.append((p, c, c2, False, c == c2 and k == k2))
-                if c != c2 and k != k2 and k2 in support[c] and k in support[c2]:
-                    terms.append((p, c, c2, True, False))
+            if k in first and k2 in last:
+                terms.append((False, not cross and k == k2))
+            if cross and k != k2 and k2 in first and k in last:
+                terms.append((True, False))
             if terms:
                 plan.append((k, k2, terms))
     return plan
 
 
-def _phi_is_cheaper(plan, n_pairs, n_l, n_prev):
+def _phi_is_cheaper(plan, n_l, n_prev):
     """Whether one layer's Gram costs fewer operations per entry through Phi.
 
     Counted per Gram entry, one operation per multiply-add of a matrix
     product and one per elementwise pass: the factored sum takes n_{l-1}
     for each R_k R_k'^T and n_l + 2 for each term (its L L^T, the Hadamard
-    product and the sum), the Phi contraction n_l (n_{l-1} + 1) + 1 per
-    pair. Forming Phi is O(N) per entry row and left out.
+    product and the sum), the Phi contraction n_l (n_{l-1} + 1) + 1.
+    Forming Phi is O(N) per entry row and left out.
     """
     factored = sum(n_prev + len(terms) * (n_l + 2) for _, _, terms in plan)
-    return n_pairs * (n_l * (n_prev + 1) + 1) < factored
+    return n_l * (n_prev + 1) + 1 < factored
 
 
 def _write_layer_gradients(block, lefts, rights, ws):
@@ -682,9 +680,9 @@ def _write_layer_gradients(block, lefts, rights, ws):
 
 
 def _accumulate_layer_grams(out, plan, lefts, rights, scratch):
-    """Add one layer's factored sum of ``_factored_plan`` to every pair's Gram.
+    """Add one layer's factored sum of ``_factored_plan`` to the Gram ``out``.
 
-    Each R_k R_k'^T is formed once and shared by all pairs of its step.
+    Each R_k R_k'^T is formed once and shared by the terms of its step.
     The two N x N products of each term are written into the two arrays of
     ``scratch``, so the call allocates nothing of size N x N.
     """
@@ -693,16 +691,16 @@ def _accumulate_layer_grams(out, plan, lefts, rights, scratch):
         np.matmul(rights[k], rights[k2].T, out=rr)
         if k == k2 == 0:
             rr += 1.0  # the bias gradient is L_0 (x) 1
-        for p, c, c2, transposed, halved in terms:
+        for transposed, halved in terms:
             if transposed:
-                np.matmul(lefts[k2][c], lefts[k][c2].T, out=ll)
+                np.matmul(lefts[k2][0], lefts[k][-1].T, out=ll)
                 ll *= rr.T
             else:
-                np.matmul(lefts[k][c], lefts[k2][c2].T, out=ll)
+                np.matmul(lefts[k][0], lefts[k2][-1].T, out=ll)
                 ll *= rr
             if halved:
                 ll *= 0.5
-            out[p] += ll
+            out += ll
 
 
 def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):

@@ -412,3 +412,12 @@ class TestReportVerb:
         assert main(["report", "--dir", str(tmp_path / "empty"), "--out", str(tmp_path / "rep")]) == 0
         rep = io.read_json(tmp_path / "rep" / "report.json")
         assert rep["n_experiments"] == 0
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_no_result_dir_is_an_io_error(self, tmp_path, capsys, kind):
+        result_dir = tmp_path / "res"
+        if kind == "file":
+            result_dir.write_text("not a directory\n")
+        assert main(["report", "--dir", str(result_dir), "--out", str(tmp_path / "rep")]) == 3
+        assert not (tmp_path / "rep").exists()
+        assert "i/o error" in capsys.readouterr().err

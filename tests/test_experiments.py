@@ -170,7 +170,7 @@ def kr_sweep_cfg(families, seeds=(0,), dim=1, hidden=32, n_per_axis=12):
 
 
 class TestComposedSweep:
-    """A K_r sweep on the composed path builds the component kernels once per network and grid."""
+    """A one-seed K_r sweep composes from component kernels built once; a multi-seed one is direct."""
 
     def _record(self, monkeypatch):
         """Count ``component_kernels`` calls and keep every ``assemble_kr`` call's inputs and kernel."""
@@ -194,33 +194,36 @@ class TestComposedSweep:
 
     def test_sweep_kernels_equal_direct_assembly(self, tmp_path, monkeypatch):
         _, assembled = self._record(monkeypatch)
-        cfg = kr_sweep_cfg(TEN_1D_FAMILIES[:3], seeds=(0, 1))
+        cfg = kr_sweep_cfg(TEN_1D_FAMILIES[:3])
         experiments.run_kr_spectrum(cfg, str(tmp_path))
-        assert len(assembled) == 6
+        assert len(assembled) == 3
         for (params, problem, pair, points), kwargs, k in list(assembled):
             assert kwargs["path"] == "composed"
             direct = kernels.assemble_kr(params, problem, pair, points, path="direct").a
             assert np.linalg.norm(k - direct) / np.linalg.norm(direct) <= 1e-14
 
     def test_build_counts(self, tmp_path, monkeypatch):
-        builds, _ = self._record(monkeypatch)
+        builds, assembled = self._record(monkeypatch)
         res = experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES), str(tmp_path / "a"))
         assert len(builds) == 1 and [r["status"] for r in res.rows] == ["ok"] * 10
         builds.clear()
         experiments._components.cache_clear()
+        n_before = len(assembled)
         res = experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES[:3], seeds=(0, 1)), str(tmp_path / "b"))
-        assert len(builds) == 2
+        # several seeds: every K_r is assembled directly, and no component is built
+        assert builds == [] and [kwargs["path"] for _, kwargs, _ in assembled[n_before:]] == ["direct"] * 6
+        assert [r["status"] for r in res.rows] == ["ok"] * 6
         # rows stay in (family, seed) order
         assert [(r["family"], r["alpha"], r["seed"]) for r in res.rows] == [
             (f["family"], f["params"]["alpha"], s) for f in TEN_1D_FAMILIES[:3] for s in (0, 1)]
 
     def test_memo_holds_one_read_only_entry(self, tmp_path, monkeypatch):
         builds, _ = self._record(monkeypatch)
-        experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES[:2], seeds=(0, 1)), str(tmp_path))
+        experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES[:2], seeds=(1,)), str(tmp_path))
         assert experiments._components.cache_info().currsize == 1
         sizes, grid = (1, 32, 32, 1), (1, 12, "trimmed")
-        comp = experiments._components(sizes, "tanh", 1, *grid)  # the last seed's entry
-        assert len(builds) == 2 and experiments._components.cache_info().hits == 1
+        comp = experiments._components(sizes, "tanh", 1, *grid)  # the sweep's entry
+        assert len(builds) == 1 and experiments._components.cache_info().hits == 2
         kept = {key: arr.copy() for key, arr in comp.items()}
         for arr in comp.values():
             assert not arr.flags.writeable

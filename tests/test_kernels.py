@@ -337,17 +337,18 @@ class TestFactoredGramsMatchJacobianGrams:
         tbar[0] = rng.standard_normal(n)
         rows = [zbar[c][:, None] * j0 + np.einsum("nm,nmp->np", ubar[c], j1)
                 + tbar[c][:, None] * j2 for c in range(3)]
-        pairs = [(c, c2) for c in range(3) for c2 in range(3)]
         st = net.forward(params, x, order=2)
-        grams = net.factored_grams(params, st, zbar, ubar, tbar, pairs=pairs)
-        for (c, c2), got in zip(pairs, grams):
-            _assert_gram(got, rows[c] @ rows[c2].T)
+        for c in range(3):
+            for c2 in range(3):
+                stacked = [c] if c == c2 else [c, c2]  # one combination's own Gram, or a cross Gram
+                got = net.factored_grams(params, st, zbar[stacked], ubar[stacked], tbar[stacked])
+                _assert_gram(got, rows[c] @ rows[c2].T)
 
     def test_diagonal_grams_exactly_symmetric(self, poisson, quad_pair, pts):
         p = make_params(9)
         st = net.forward(p, pts, order=2)
         cf = pde.coefficients(poisson.op, quad_pair, pts)
-        k = net.factored_grams(p, st, cf.alpha[None], cf.beta[None], cf.gamma[None])[0]
+        k = net.factored_grams(p, st, cf.alpha[None], cf.beta[None], cf.gamma[None])
         assert np.array_equal(k, k.T)
 
     def test_seeds_beyond_state_order_rejected(self, pts):
@@ -356,6 +357,12 @@ class TestFactoredGramsMatchJacobianGrams:
         n = pts.shape[0]
         with pytest.raises(ValueError):
             net.factored_grams(p, st, np.ones((1, n)), np.ones((1, n, 1)))
+
+    def test_more_than_two_combinations_rejected(self, pts):
+        p = make_params(1)
+        st = net.forward(p, pts, order=0)
+        with pytest.raises(ValueError):
+            net.factored_grams(p, st, np.ones((3, pts.shape[0])))
 
 
 def test_kernel_assembly_never_materializes_jacobians(monkeypatch, poisson, quad_pair, pts):
@@ -423,7 +430,10 @@ def test_contraction_per_layer(monkeypatch, d, hidden, n_axis):
     ((3, 40, 40, 1), 12, "direct"),  # 2160 against 1841
 ])
 def test_sweep_path_composes_where_the_stack_is_no_larger_than_the_network(sizes, n, path):
-    assert kernels.sweep_path(net.init_kaiming_uniform(sizes, "tanh", 0), n) == path
+    # the answer for a one-seed sweep; a sweep of several seeds is always direct
+    params = net.init_kaiming_uniform(sizes, "tanh", 0)
+    assert kernels.sweep_path(params, n, 1) == path
+    assert kernels.sweep_path(params, n, 2) == kernels.sweep_path(params, n, 5) == "direct"
 
 
 # One workspace across calls: 1D and 2D shapes small enough to run fast, and

@@ -23,13 +23,13 @@ Phi blocks is in the ``rest`` line (with the reverse pass and the
 symmetric completion). Each kernel is compared with the Gram of rows
 built from the materialized ``net.param_jacobians`` (at most about 0.8 GB,
 at the 1D reference size). The ``workspace`` lines give what the assembly
-workspace retains after the component build alone and after every
-assembly of a size, and the ``warm peak`` line the ``tracemalloc`` peaks
-of one warm composed ``K_t`` (the path ``kt-spectrum`` sweeps take) and
-one warm composed ``K_r`` (from the built components) next to the size of
-the Gram each returns. One untimed component build at the first size
-runs before any measurement, so that no cold column absorbs the start-up
-of the BLAS threads.
+workspace retains after the component build alone and, with its largest
+array, after every assembly of a size, and the ``warm peak`` line the
+``tracemalloc`` peaks of one warm composed ``K_t`` (the path
+``kt-spectrum`` sweeps take) and one warm composed ``K_r`` (from the
+built components) next to the size of the Gram each returns. One
+untimed component build at the first size runs before any measurement,
+so that no cold column absorbs the start-up of the BLAS threads.
 
 Each case's direct ``K_r`` is then decomposed by ``linalg.eig_sym``, timed
 values only (what sweeps and training snapshots pay) and with the report's
@@ -242,7 +242,9 @@ def main():
                     print(f"    {layer:<22} {kind:<9} {s * 1e3:9.2f} ms")
             for name, fn in assemblies:
                 fn()
-            print(f"  workspace {workspace_mib():.2f} MiB in {len(kernels._ws)} arrays after all five assemblies")
+            largest = max(a.nbytes for a in kernels._ws.values()) / 2**20
+            print(f"  workspace {workspace_mib():.2f} MiB in {len(kernels._ws)} arrays after all five assemblies, "
+                  f"the largest {largest:.2f} MiB")
             peaks = {name: warm_peak(dict(assemblies)[name]) for name in ("Kt composed", "Kr composed")}
             print("  warm peak " + ", ".join(f"{name} {peak:.2f} MiB" for name, (peak, _) in peaks.items())
                   + f"; a Gram {peaks['Kr composed'][1]:.2f} MiB")

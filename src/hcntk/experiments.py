@@ -124,9 +124,9 @@ def _safe_spearman(xs, ys):
         return float("nan"), "undefined"
 
 
-# One entry: a sweep with several families runs one seed, and a study with
-# several seeds one family, so the last network is every network a run asks
-# for again.
+# One entry: a spectrum sweep holds the network of each of its seeds, and
+# every other run uses one network at a time, so the last network is every
+# network a run asks for again.
 @functools.lru_cache(maxsize=1)
 def _network(sizes, activation, seed):
     """``net.init_kaiming_uniform``'s network, the same object as the last call's for the same key.
@@ -273,9 +273,9 @@ def run_kn_invariance(cfg, out_dir):
 def _spectrum_sweep(cfg, out_dir, which):
     """The rows of a K_t or K_r sweep, in (family, seed) order, and their failures.
 
-    A K_r sweep takes ``kernels.sweep_path``'s path; where that composes
-    (one seed), the seed's component kernels are built once for all
-    families.
+    Each seed's network is built once for all families. A K_r sweep takes
+    ``kernels.sweep_path``'s path; where that composes (one seed), the
+    seed's component kernels are built once for all families.
     """
     seeds = _seeds(cfg)
     problem = pde.benchmark(cfg["benchmark"]) if which == "kr" else None
@@ -286,10 +286,10 @@ def _spectrum_sweep(cfg, out_dir, which):
     sizes = network_sizes(cfg, input_dim=dim)
     activation = _activation(cfg)
     feats = [boundary.features(pair, points).as_dict() for pair in pairs]
+    networks = [_network(sizes, activation, seed) for seed in seeds]  # one build per seed
     rows, failures = [], []
     for fam, pair, feat in zip(cfg["families"], pairs, feats):
-        for seed in seeds:
-            params = _network(sizes, activation, seed)
+        for seed, params in zip(seeds, networks):
             row = {**_fam_coords(fam), "seed": seed, "status": "ok",
                    **{c: float("nan") for c in SPECTRUM_COLS}, **feat}
             try:

@@ -25,12 +25,15 @@ O(K^2 N width) entries. K_n and K_t have one factor (K = 1), so only their
 output layer goes through Phi. No N x P Jacobian is ever formed.
 
 Assembly runs in one workspace that lasts across calls (see ``net._take``):
-the forward carriers, the reverse-pass adjoints, Phi and the Gram scratch
-of the last problem shape (layer sizes and points) stay allocated, so a
-sweep over boundary functions, which keeps the network and the points,
-allocates little beyond the Grams it returns. A new shape empties the
-workspace. Every returned kernel is a fresh array. The workspace belongs
-to the process, so two threads must not assemble at once.
+the forward carriers, the reverse-pass adjoints, Phi and the two p x N
+row panels (p = ``net.PANEL_ROWS`` rows) in which every Gram is
+accumulated and every composed kernel symmetrized, all of the last
+problem shape (layer sizes and points), stay allocated, so a sweep over
+boundary functions, which keeps the network and the points, allocates
+little beyond the Grams it returns. The workspace keeps no N x N
+scratch. A new shape empties the workspace. Every returned kernel is a
+fresh array. The workspace belongs to the process, so two threads must
+not assemble at once.
 
 The component kernels are the exception: ``component_kernels`` builds
 them outside the workspace, one ``net.factored_grams`` call per pair of
@@ -84,10 +87,9 @@ def _workspace(params, x):
 
 
 def _symmetrize(k, ws):
-    """(k + k^T) / 2 into ``k``, summed in the workspace's ``net.factored_grams`` scratch."""
-    s = net._take(ws, "gram scratch", (2, *k.shape))[0]
-    np.add(k, k.T, out=s)
-    np.multiply(s, 0.5, out=k)
+    """(k + k^T) / 2 into ``k``, summed block by block in the workspace's row panels."""
+    net.add_transpose(k, ws)
+    k *= 0.5
     return SymMatrix(k)
 
 

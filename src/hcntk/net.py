@@ -263,15 +263,6 @@ def _take(ws, key, shape):
     return arr
 
 
-def _contiguous(ws, key, arr):
-    """``arr`` if it is C-contiguous, else a copy of it in the workspace array ``key``."""
-    if arr.flags.c_contiguous:
-        return arr
-    out = _take(ws, key, arr.shape)
-    np.copyto(out, arr)
-    return out
-
-
 def _matmul(a, b, out):
     """``a @ b`` into ``out`` as one 2-D product over the leading axes of ``a``.
 
@@ -558,11 +549,16 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None):
     layer goes through Phi only when n_l (n_{l-1} + 1) is below its
     factored count, Phi never holds more than O(K^2 N width) entries per
     combination. The Phi blocks of all such layers sit side by side, so
-    the Gram takes them in one matrix product. Scratch is two N x N arrays
-    plus Phi and the contiguous copies of the factors, all taken from the
-    state's workspace (fresh without one), and no N x P array is formed.
-    The returned Gram is always a fresh array. A one-combination Gram takes
-    k <= k' in the factored sum and is returned exactly symmetric.
+    the Gram takes them in one matrix product.
+
+    The Gram is accumulated in row panels of ``PANEL_ROWS`` rows: every
+    product of a factored layer, the Phi Gram and the completion of a
+    one-combination Gram (``add_transpose``) are formed one p x N panel at
+    a time, and BLAS reads the strided factor views as they are. Scratch is
+    Phi and two p x N panels, taken from the state's workspace (fresh
+    without one), and no N x P array is formed. The returned Gram is
+    always a fresh array. A one-combination Gram takes k <= k' in the
+    factored sum and is returned exactly symmetric.
     """
     n, d = st.x.shape
     if zbar.shape[0] not in (1, 2):
@@ -586,7 +582,7 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None):
     phi_cols = sum(params.weights[l - 1].size + params.biases[l - 1].size for l in phi_layers)
     ws = st.ws
     phi = _take(ws, "phi", (zbar.shape[0], n, phi_cols))
-    scratch = _take(ws, "gram scratch", (2, n, n))
+    panels = _gram_panels(ws, n)
     out = np.zeros((n, n))
     col = 0
     for l, zb, ub, tb in _reverse_layers(params, st, *seeds):
@@ -598,24 +594,57 @@ def factored_grams(params, st, zbar, ubar=None, tbar=None):
             lefts.append(tb)
             rights.append(st.q[l - 1] if l > 1 else None)
         if l in plans:
-            lefts = [_contiguous(ws, ("left", k), left) for k, left in enumerate(lefts)]
-            rights = [None if r is None else _contiguous(ws, ("right", k), r)
-                      for k, r in enumerate(rights)]
-            _accumulate_layer_grams(out, plans[l], lefts, rights, scratch)
+            _accumulate_layer_grams(out, plans[l], lefts, rights, panels)
         else:
             n_l, n_prev = params.weights[l - 1].shape
             width = n_l * (n_prev + 1)
             _write_layer_gradients(phi[:, :, col : col + width].reshape(-1, n, n_prev + 1, n_l),
                                    lefts, rights, ws)
             col += width
-    gram, half = scratch
-    np.matmul(phi[0], phi[-1].T, out=gram)
-    if len(support) == 1:  # complete the k <= k' half sum, then add the Phi Gram
-        np.add(out, out.T, out=half)
-        np.add(half, gram, out=out)
+    if len(support) == 1:  # complete the k <= k' half sum, adding the Phi Gram on the way
+        add_transpose(out, ws, phi[0])
     else:
-        out += gram
+        for rows in _row_panels(n):
+            out[rows] += np.matmul(phi[0][rows], phi[-1].T, out=panels[1, : rows.stop - rows.start])
     return out
+
+
+# Rows per panel of Gram accumulation. A Gram of at most this many points
+# is one panel, which takes every product whole, as an unpaneled sum would.
+PANEL_ROWS = 128
+
+
+def _row_panels(n):
+    """Row slices of at most ``PANEL_ROWS`` rows that tile range(n)."""
+    return [slice(i, min(i + PANEL_ROWS, n)) for i in range(0, n, PANEL_ROWS)]
+
+
+def _gram_panels(ws, n):
+    """The two p x N scratch panels of Gram accumulation, p = min(PANEL_ROWS, N)."""
+    return _take(ws, "gram panels", (2, min(PANEL_ROWS, n), n))
+
+
+def add_transpose(k, ws, phi=None):
+    """k + k^T, plus the Gram phi phi^T when given, into ``k``, one row panel at a time.
+
+    Row panel I (first row i) sums k[I, i:] + k[i:, I]^T, adds the Phi
+    Gram block phi[I] phi[i:]^T, whose diagonal block is one symmetric
+    product, and writes the sum into k[I, i:] and its transpose into
+    k[i:, I]. The result is exactly symmetric, and the scratch is the two
+    p x N panels of the workspace ``ws`` (fresh without one).
+    """
+    n = k.shape[0]
+    sums, grams = _gram_panels(ws, n)
+    for rows in _row_panels(n):
+        i, p = rows.start, rows.stop - rows.start
+        s = np.add(k[rows, i:], k[i:, rows].T, out=sums[:p, : n - i])
+        if phi is not None:
+            g = grams[:p, : n - i]
+            np.matmul(phi[rows], phi[rows].T, out=g[:, :p])
+            np.matmul(phi[rows], phi[rows.stop :].T, out=g[:, p:])
+            s += g
+        k[rows, i:] = s
+        k[i:, rows] = s.T
 
 
 def _factored_plan(support, has_right):
@@ -679,28 +708,36 @@ def _write_layer_gradients(block, lefts, rights, ws):
     np.copyto(block[:, :, -1], lefts[0])
 
 
-def _accumulate_layer_grams(out, plan, lefts, rights, scratch):
-    """Add one layer's factored sum of ``_factored_plan`` to the Gram ``out``.
+def _accumulate_layer_grams(out, plan, lefts, rights, panels):
+    """Add one layer's factored sum of ``_factored_plan`` to the Gram ``out``, one row panel at a time.
 
-    Each R_k R_k'^T is formed once and shared by the terms of its step.
-    The two N x N products of each term are written into the two arrays of
-    ``scratch``, so the call allocates nothing of size N x N.
+    For rows I, each R_k[I] R_k'^T is formed once and shared by the terms
+    of its step. A term adds its rows I, and a transposed term its columns
+    I, (L_k'[c] L_k[c'][I]^T) o (R_k[I] R_k'^T)^T. The products are
+    written into the two p x N ``panels``, so the call allocates nothing of
+    size N x N, and a Gram of one panel forms every product as a sum over
+    whole N x N products would.
     """
-    rr, ll = scratch
-    for k, k2, terms in plan:
-        np.matmul(rights[k], rights[k2].T, out=rr)
-        if k == k2 == 0:
-            rr += 1.0  # the bias gradient is L_0 (x) 1
-        for transposed, halved in terms:
-            if transposed:
-                np.matmul(lefts[k2][0], lefts[k][-1].T, out=ll)
-                ll *= rr.T
-            else:
-                np.matmul(lefts[k][0], lefts[k2][-1].T, out=ll)
-                ll *= rr
-            if halved:
-                ll *= 0.5
-            out += ll
+    n = out.shape[0]
+    for rows in _row_panels(n):
+        p = rows.stop - rows.start
+        rr, ll = panels[:, :p]
+        for k, k2, terms in plan:
+            np.matmul(rights[k][rows], rights[k2].T, out=rr)
+            if k == k2 == 0:
+                rr += 1.0  # the bias gradient is L_0 (x) 1
+            for transposed, halved in terms:
+                if transposed:
+                    term = np.matmul(lefts[k2][0], lefts[k][-1][rows].T, out=ll.reshape(n, p))
+                    term *= rr.T
+                    target = out[:, rows]
+                else:
+                    term = np.matmul(lefts[k][0][rows], lefts[k2][-1].T, out=ll)
+                    term *= rr
+                    target = out[rows]
+                if halved:
+                    term *= 0.5
+                target += term
 
 
 def weighted_residual_gradient(params, st, w_value, w_grad, w_lap):

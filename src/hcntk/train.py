@@ -159,10 +159,11 @@ def test_grid_for(problem, total_points):
 def _snapshot(epoch, theta, template, pair, problem, points):
     p = template.unflatten(theta)
     entry = {"epoch": int(epoch)}
-    for name, mat in (("kn", kernels.assemble_kn(p, points)),
-                      ("kt", kernels.assemble_kt(p, pair, points, path="direct")),
-                      ("kr", kernels.assemble_kr(p, problem, pair, points, path="direct"))):
-        entry[name] = eig_sym(mat).metrics()
+    # One kernel at a time: each is assembled only after the last one's report is dropped.
+    for name, assemble in (("kn", lambda: kernels.assemble_kn(p, points)),
+                           ("kt", lambda: kernels.assemble_kt(p, pair, points, path="direct")),
+                           ("kr", lambda: kernels.assemble_kr(p, problem, pair, points, path="direct"))):
+        entry[name] = eig_sym(assemble()).metrics()
     return entry
 
 

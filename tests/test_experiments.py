@@ -217,6 +217,15 @@ class TestComposedSweep:
         assert [(r["family"], r["alpha"], r["seed"]) for r in res.rows] == [
             (f["family"], f["params"]["alpha"], s) for f in TEN_1D_FAMILIES[:3] for s in (0, 1)]
 
+    def test_each_seed_builds_its_network_once(self, tmp_path, monkeypatch):
+        seeds, init = [], net.init_kaiming_uniform
+        monkeypatch.setattr(net, "init_kaiming_uniform", lambda *args: seeds.append(args[2]) or init(*args))
+        experiments._network.cache_clear()
+        res = experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES[:3], seeds=(0, 1)), str(tmp_path))
+        assert seeds == [0, 1]  # not once per family
+        assert [(r["family"], r["alpha"], r["seed"]) for r in res.rows] == [
+            (f["family"], f["params"]["alpha"], s) for f in TEN_1D_FAMILIES[:3] for s in (0, 1)]
+
     def test_memo_holds_one_read_only_entry(self, tmp_path, monkeypatch):
         builds, _ = self._record(monkeypatch)
         experiments.run_kr_spectrum(kr_sweep_cfg(TEN_1D_FAMILIES[:2], seeds=(1,)), str(tmp_path))

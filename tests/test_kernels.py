@@ -344,6 +344,25 @@ class TestFactoredGramsMatchJacobianGrams:
                 got = net.factored_grams(params, st, zbar[stacked], ubar[stacked], tbar[stacked])
                 _assert_gram(got, rows[c] @ rows[c2].T)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_several_row_panels(self, monkeypatch, d):
+        # 12 points in row panels of 5, 5 and 2 rows; the 40 x 40 layer is factored
+        monkeypatch.setattr(net, "PANEL_ROWS", 5)
+        params, x, prob, pair, j0, j1, j2 = _oracle_setup("tanh", d, (40, 40))
+        rows_t = pair.value(x)[:, None] * j0
+        cf = pde.coefficients(prob.op, pair, x)
+        rows_r = cf.alpha[:, None] * j0 + np.einsum("nm,nmp->np", cf.beta, j1) + cf.gamma[:, None] * j2
+        got = {"kn": (kernels.assemble_kn(params, x).a, j0 @ j0.T)}
+        for path in ("direct", "composed"):
+            got[f"kt {path}"] = (kernels.assemble_kt(params, pair, x, path=path).a, rows_t @ rows_t.T)
+            got[f"kr {path}"] = (kernels.assemble_kr(params, prob, pair, x, path=path).a, rows_r @ rows_r.T)
+        for name, (k, ref) in got.items():
+            _assert_gram(k, ref)
+            assert np.array_equal(k, k.T), name
+        js = [j0, *(j1[:, m] for m in range(d)), j2]
+        for (a, b), g in kernels.component_kernels(params, x).items():
+            _assert_gram(g, js[a] @ js[b].T)
+
     def test_diagonal_grams_exactly_symmetric(self, poisson, quad_pair, pts):
         p = make_params(9)
         st = net.forward(p, pts, order=2)
@@ -497,6 +516,33 @@ class TestWorkspace:
         cold_again = train._snapshot(0, theta, template, quad_pair, poisson, pts)
         assert repr(warm) == repr(cold) == repr(cold_again)  # every float bitwise, NaN included
 
+    def test_warm_training_snapshot_holds_one_kernel_at_a_time(self):
+        # K_n, K_t and K_r at the 2D desk size: each is decomposed before the next is assembled
+        params, prob, pair, x = _ws_case(2, (64, 64), 24)
+        theta = params.flatten()
+        snapshot = lambda: train._snapshot(0, theta, params, pair, prob, x)
+        snapshot()
+        tracemalloc.start()
+        try:
+            snapshot()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = 8 * len(x) ** 2
+        assert peak <= 2 * gram + 2**20, f"warm peak {peak / 2**20:.2f} MiB"
+
+    def test_desk_size_workspace_holds_no_gram_sized_array(self):
+        # 2D desk size (2x64, n=484): the assembly scratch is row panels, and every kernel is exactly symmetric
+        params, prob, pair, x = _ws_case(2, (64, 64), 24)
+        kernels._ws.clear()
+        kernels_2d = [kernels.assemble_kn(params, x).a]
+        for path in ("direct", "composed"):
+            kernels_2d.append(kernels.assemble_kt(params, pair, x, path=path).a)
+            kernels_2d.append(kernels.assemble_kr(params, prob, pair, x, path=path).a)
+        n = len(x)
+        assert max(a.size for a in kernels._ws.values()) < n * n
+        assert all(np.array_equal(k, k.T) for k in kernels_2d)
+
     def test_holds_one_shape_only(self):
         case_1d, case_2d = _ws_case(1, (20, 20), 14), _ws_case(2, (12, 12), 6)
         kernels._ws.clear()
@@ -534,7 +580,7 @@ class TestWorkspace:
     def test_warm_assembly_allocates_little(self, d, hidden, n_axis, path):
         # A warm call allocates its returned Gram and O(N) coefficient and
         # seed vectors, which 1 MiB covers: composed K_t symmetrizes through
-        # the workspace's Gram scratch. Warm peaks measured: 0.20 MiB (1D
+        # the workspace's row panels. Warm peaks measured: 0.20 MiB (1D
         # K_r), 2.34 MiB (2D K_r), 2.08 MiB (2D K_t), against bounds of 1.07
         # and 2.79 MiB. Without a workspace the same calls peak at 12.2, 15.9
         # and 7.7 MiB.
